@@ -42,11 +42,8 @@
 pub mod layout;
 pub mod reference;
 pub mod run;
-pub mod transport;
 
 pub use layout::{load_graph, GraphInMemory, EDGE_BYTES};
 pub use run::{
-    dump_props_f32, dump_props_u32, effective_lanes, effective_lanes_with_jobs, run, run_pipelined,
-    run_pipelined_via, run_via, AccelConfig, LaneParts, RunResult, Workload, BFS_INF, MAX_LANES,
+    dump_props_f32, dump_props_u32, run, run_via, AccelConfig, RunResult, Workload, BFS_INF,
 };
-pub use transport::LaneTuning;

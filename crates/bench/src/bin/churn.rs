@@ -69,7 +69,6 @@ fn rate_json(rate: Option<f64>) -> Json {
 fn main() {
     let args = BenchArgs::parse();
     args.reject_schemes("churn");
-    args.reject_lanes("churn");
     let base = scenario(args.scale);
     args.banner(&format!(
         "Churn: identity-mapping decay over {} epochs of fork/exec/exit, \

@@ -12,7 +12,6 @@ use dvm_sim::Table;
 
 fn main() {
     let args = BenchArgs::parse();
-    args.reject_lanes("fig10");
     let config = CpuModelConfig {
         accesses: match args.scale {
             Scale::Smoke => 100_000,

@@ -12,7 +12,6 @@ use dvm_sim::Table;
 fn main() {
     let args = BenchArgs::parse();
     args.reject_schemes("table1");
-    args.reject_lanes("table1");
     args.banner(&format!(
         "Table 1: page-table sizes (PageRank for graph inputs, CF for bipartite), scale = {}\n",
         args.scale.name()

@@ -12,7 +12,6 @@ use dvm_sim::Table;
 fn main() {
     let args = BenchArgs::parse();
     args.reject_schemes("table3");
-    args.reject_lanes("table3");
     args.banner(&format!(
         "Table 3: graph datasets (published vs generated stand-ins), scale = {}\n",
         args.scale.name()

@@ -18,7 +18,6 @@ type Experiment = (&'static str, fn() -> ShbenchConfig);
 fn main() {
     let args = BenchArgs::parse();
     args.reject_schemes("table4");
-    args.reject_lanes("table4");
     let gib: &[u64] = match args.scale {
         Scale::Smoke | Scale::Quick => &[4, 8, 16],
         _ => &[16, 32, 64],

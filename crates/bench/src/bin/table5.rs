@@ -26,7 +26,6 @@ fn loc(path: &Path) -> u64 {
 fn main() {
     let args = BenchArgs::parse();
     args.reject_schemes("table5");
-    args.reject_lanes("table5");
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     let crates = manifest.parent().expect("crates dir");
     args.banner("Table 5: implementation size per affected feature\n");

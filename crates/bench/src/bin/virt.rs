@@ -88,7 +88,6 @@ fn measure(scheme: NestedScheme, span: u64, base: VirtAddr, translations: u64) -
 
 fn main() {
     let args = BenchArgs::parse();
-    args.reject_lanes("virt");
     let span: u64 = 256 << 20;
     let base = VirtAddr::new(1 << 30);
     let translations = 200_000u64;

@@ -13,7 +13,6 @@
 //! --datasets FR,Wiki,...          restrict to some inputs
 //! --schemes a,b,c                 restrict to some translation schemes
 //! --jobs N                        worker threads per process (0 = all cores)
-//! --lanes N                       intra-unit lanes (1 = serial, 0 = auto)
 //! --json PATH                     also write the machine-readable document
 //! --shards N                      fan the grid out over N worker processes
 //! --shard I/N                     run only shard I, write a fragment, exit
@@ -79,14 +78,6 @@ pub struct BenchArgs {
     pub schemes: Option<Vec<String>>,
     /// Sweep worker threads per process: `0` = all cores, `1` = serial.
     pub jobs: usize,
-    /// Intra-unit lanes: `1` = the fused serial path (default), `2` =
-    /// the functional/timing pipeline, `3` = functional/translate/memory
-    /// (higher clamps), `0` = auto (divides the host's cores among the
-    /// `--jobs` workers). Output is byte-identical either way; this flag
-    /// only trades threads for wall-clock within a unit. Rejected by the
-    /// grid binaries (tables, fig10, virt), which do not run the sweep
-    /// engine.
-    pub lanes: u32,
     /// Where to write the machine-readable results, if anywhere.
     pub json: Option<PathBuf>,
     /// Coordinator: number of worker processes to spawn.
@@ -132,7 +123,7 @@ fn err(msg: impl Into<String>) -> CliError {
 /// The usage text printed on `--help` and after errors.
 pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,Wiki,...]
        [--schemes a,b,c]
-       [--jobs N] [--lanes N] [--json PATH] [--progress] [--cache-dir DIR]
+       [--jobs N] [--json PATH] [--progress] [--cache-dir DIR]
        [--cache-max-bytes N] [--cache-stats] [--report-cache DIR]
        [--report-cache-max-bytes N]
        [--shards N | --shard I/N [--shard-out PATH] | --merge-dir DIR]
@@ -144,10 +135,6 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
                  restricted to them (paper names contain commas, so
                  spell those with '-': e.g. 4K-TLB+PWC, or just 4K)
   --jobs         worker threads per process (0 = all cores, default 1)
-  --lanes        intra-unit lanes: 1 = fused serial path (default),
-                 2 = functional/timing pipeline, 3 = functional/
-                 translate/memory, 0 = auto (cores / --jobs); results
-                 are byte-identical regardless (sweep binaries only)
   --json         also write the machine-readable document to PATH
   --progress     per-cell progress lines on stderr (stdout is untouched)
   --cache-dir    load/store generated datasets in an on-disk cache
@@ -195,7 +182,6 @@ impl BenchArgs {
         let mut datasets = None;
         let mut schemes = None;
         let mut jobs = 1usize;
-        let mut lanes = 1u32;
         let mut json = None;
         let mut shards = None;
         let mut shard = None;
@@ -249,14 +235,6 @@ impl BenchArgs {
                     jobs = v.parse().map_err(|_| {
                         err(format!(
                             "--jobs needs an integer (0 = all cores), got '{v}'"
-                        ))
-                    })?;
-                }
-                "--lanes" => {
-                    let v = value_of("--lanes", &mut args)?;
-                    lanes = v.parse().map_err(|_| {
-                        err(format!(
-                            "--lanes needs an integer (0 = auto, 1 = serial), got '{v}'"
                         ))
                     })?;
                 }
@@ -378,7 +356,6 @@ impl BenchArgs {
             datasets,
             schemes,
             jobs,
-            lanes,
             json,
             shards,
             shard,
@@ -637,16 +614,6 @@ impl BenchArgs {
         }
     }
 
-    /// Refuse a non-default `--lanes` in binaries that do not run the
-    /// accelerator sweep engine (the tables, fig10, virt), exiting 2 so
-    /// the flag is not silently ignored.
-    pub fn reject_lanes(&self, binary: &str) {
-        if self.lanes != 1 {
-            eprintln!("--lanes: {binary} does not run the accelerator sweep engine");
-            std::process::exit(2);
-        }
-    }
-
     /// Write `fig` to the `--json` path, if one was given.
     ///
     /// # Panics
@@ -698,7 +665,7 @@ impl BenchArgs {
     }
 
     /// The grid-defining flags every re-spawned process needs: scale,
-    /// filters, jobs/lanes, caches, progress — minus any role flag.
+    /// filters, jobs, caches, progress — minus any role flag.
     fn base_argv(&self) -> Vec<String> {
         let mut argv = vec!["--scale".to_string(), self.scale.name().to_string()];
         if let Some(datasets) = &self.datasets {
@@ -713,10 +680,6 @@ impl BenchArgs {
         }
         argv.push("--jobs".to_string());
         argv.push(self.jobs.to_string());
-        if self.lanes != 1 {
-            argv.push("--lanes".to_string());
-            argv.push(self.lanes.to_string());
-        }
         if let Some(cache) = &self.cache {
             argv.push("--cache-dir".to_string());
             argv.push(cache.dir().display().to_string());
@@ -778,7 +741,6 @@ mod tests {
         let args = parse(&[]).unwrap();
         assert_eq!(args.scale, Scale::Quick);
         assert_eq!(args.jobs, 1);
-        assert_eq!(args.lanes, 1);
         assert!(args.datasets.is_none() && args.json.is_none());
         assert_eq!(args.role(), ShardRole::Single);
         assert!(!args.progress && args.cache.is_none());
@@ -898,10 +860,12 @@ mod tests {
             .0
             .contains("integer"));
         assert!(parse(&["--jobs"]).unwrap_err().0.contains("needs a value"));
-        assert!(parse(&["--lanes", "wide"])
+        // The removed intra-unit lane flag is an unknown argument (exit 2).
+        assert!(parse(&["--lanes", "2"]).is_err());
+        assert!(parse(&["--lanes", "2"])
             .unwrap_err()
             .0
-            .contains("integer"));
+            .contains("unknown argument '--lanes'"));
         assert!(parse(&["--frobnicate"]).unwrap_err().0.contains("usage:"));
     }
 
@@ -1081,20 +1045,6 @@ mod tests {
             worker.try_iommu_schemes(&[]).unwrap(),
             vec![SchemeId::DVM_PE_PLUS, SchemeId::SVA_IOMMU]
         );
-    }
-
-    #[test]
-    fn lanes_flag_parses_and_reaches_workers() {
-        assert_eq!(parse(&["--lanes", "0"]).unwrap().lanes, 0);
-        assert_eq!(parse(&["--lanes", "2"]).unwrap().lanes, 2);
-        let coordinator = parse(&["--lanes", "2"]).unwrap();
-        let argv = coordinator.worker_argv(0, 2, std::path::Path::new("frag.json"));
-        let worker = BenchArgs::try_parse(argv).unwrap();
-        assert_eq!(worker.lanes, 2);
-        // The default stays off the worker command line.
-        let plain = parse(&[]).unwrap();
-        let argv = plain.worker_argv(0, 2, std::path::Path::new("frag.json"));
-        assert!(!argv.iter().any(|a| a == "--lanes"));
     }
 
     #[test]

@@ -704,7 +704,7 @@ fn sweep_with_options(
             p.done, p.total, p.workload, p.dataset, p.scheme
         );
     };
-    let mut runner = SweepRunner::new(spec).jobs(args.jobs).lanes(args.lanes);
+    let mut runner = SweepRunner::new(spec).jobs(args.jobs);
     if let Some(cache) = args.cache.as_ref() {
         runner = runner.cache(cache);
     }

@@ -2,13 +2,12 @@
 //! (workload, graph, MMU-scheme) triple and reports the metrics the
 //! paper's figures are built from.
 
-use dvm_accel::{layout, run_pipelined_via, run_via, AccelConfig, LaneParts, RunResult, Workload};
+use dvm_accel::{layout, run_via, AccelConfig, RunResult, Workload};
 use dvm_energy::EnergyParams;
 use dvm_graph::Graph;
-use dvm_mem::{Dram, DramConfig, MachineConfig, PhysMem};
-use dvm_mmu::{dispatch, Iommu, MemSystem, SchemeDispatch, SchemeId};
+use dvm_mem::{Dram, DramConfig, MachineConfig};
+use dvm_mmu::{dispatch, Iommu, MemSystem, SchemeId};
 use dvm_os::{MapFlavor, Os, OsConfig};
-use dvm_pagetable::{PageTable, PermBitmap};
 use dvm_sim::Cycles;
 use dvm_types::DvmError;
 
@@ -26,13 +25,6 @@ pub struct ExperimentConfig {
     pub dram: DramConfig,
     /// Energy parameters.
     pub energy: EnergyParams,
-    /// Intra-unit lanes: `1` runs the fused serial path, `2` the
-    /// functional/timing pipeline, `3` (or more — clamped) additionally
-    /// splits timing into translate and memory lanes, `0` picks
-    /// automatically (see [`dvm_accel::effective_lanes`]). Lane choice
-    /// never changes results — reports are byte-identical by
-    /// construction.
-    pub lanes: u32,
 }
 
 impl ExperimentConfig {
@@ -44,14 +36,7 @@ impl ExperimentConfig {
             accel: AccelConfig::default(),
             dram: DramConfig::default(),
             energy: EnergyParams::default(),
-            lanes: 1,
         }
-    }
-
-    /// Same configuration with a different lane count.
-    pub fn with_lanes(mut self, lanes: u32) -> Self {
-        self.lanes = lanes;
-        self
     }
 }
 
@@ -120,44 +105,6 @@ fn auto_machine_bytes(graph_heap: u64, mmu: SchemeId) -> u64 {
     padded.next_multiple_of(1 << 30)
 }
 
-/// One ready-to-run simulation unit; `run` picks the fused or pipelined
-/// path from the resolved lane count so the scheme-dispatch match above
-/// it stays a single 10-arm table.
-struct Unit<'a> {
-    workload: &'a Workload,
-    g: &'a layout::GraphInMemory,
-    lanes: u32,
-    iommu: &'a mut Iommu,
-    pt: &'a PageTable,
-    bitmap: Option<&'a PermBitmap>,
-    mem: &'a mut PhysMem,
-    dram: &'a mut Dram,
-    accel: &'a AccelConfig,
-}
-
-impl Unit<'_> {
-    fn run<D: SchemeDispatch>(&mut self) -> Result<RunResult, dvm_types::Fault> {
-        if self.lanes >= 2 {
-            run_pipelined_via::<D>(
-                self.workload,
-                self.g,
-                LaneParts {
-                    iommu: self.iommu,
-                    pt: self.pt,
-                    bitmap: self.bitmap,
-                    mem: self.mem,
-                    dram: self.dram,
-                },
-                self.accel,
-                self.lanes,
-            )
-        } else {
-            let mut sys = MemSystem::new(self.iommu, self.pt, self.bitmap, self.mem, self.dram);
-            run_via::<D>(self.workload, self.g, &mut sys, self.accel)
-        }
-    }
-}
-
 /// Run one workload over one graph under one scheme.
 ///
 /// # Errors
@@ -187,36 +134,35 @@ pub fn run_graph_experiment(
     let mut dram = Dram::new(config.dram);
     let pt = os.process(pid)?.page_table;
     let bitmap = os.bitmap;
-    let lanes = dvm_accel::effective_lanes(config.lanes);
-    let mut unit = Unit {
-        workload,
-        g: &g,
-        lanes,
-        iommu: &mut iommu,
-        pt: &pt,
-        bitmap: bitmap.as_ref(),
-        mem: &mut os.machine.mem,
-        dram: &mut dram,
-        accel: &config.accel,
+    let result = {
+        let mut sys = MemSystem::new(
+            &mut iommu,
+            &pt,
+            bitmap.as_ref(),
+            &mut os.machine.mem,
+            &mut dram,
+        );
+        let (g, sys, accel) = (&g, &mut sys, &config.accel);
+        // Builtin schemes run monomorphized (the registry's virtual call
+        // would otherwise keep the whole per-access path out of the
+        // inliner's reach); runtime-registered schemes take the dynamic
+        // path. Either way the executed scheme code is identical —
+        // `dispatch::Dyn` is the oracle the static tokens are tested
+        // against in `dvm-accel`.
+        match config.mmu {
+            SchemeId::CONV_4K => run_via::<dispatch::Conv4K>(workload, g, sys, accel),
+            SchemeId::CONV_2M => run_via::<dispatch::Conv2M>(workload, g, sys, accel),
+            SchemeId::CONV_1G => run_via::<dispatch::Conv1G>(workload, g, sys, accel),
+            SchemeId::DVM_BM => run_via::<dispatch::DvmBm>(workload, g, sys, accel),
+            SchemeId::DVM_PE => run_via::<dispatch::DvmPe>(workload, g, sys, accel),
+            SchemeId::DVM_PE_PLUS => run_via::<dispatch::DvmPePlus>(workload, g, sys, accel),
+            SchemeId::IDEAL => run_via::<dispatch::Ideal>(workload, g, sys, accel),
+            SchemeId::SVA_PF => run_via::<dispatch::SvaPf>(workload, g, sys, accel),
+            SchemeId::SVA_IOMMU => run_via::<dispatch::SvaIommu>(workload, g, sys, accel),
+            _ => run_via::<dispatch::Dyn>(workload, g, sys, accel),
+        }
+        .map_err(DvmError::from)?
     };
-    // Builtin schemes run monomorphized (the registry's virtual call would
-    // otherwise keep the whole per-access path out of the inliner's reach);
-    // runtime-registered schemes take the dynamic path. Either way the
-    // executed scheme code is identical — `dispatch::Dyn` is the oracle the
-    // static tokens are tested against in `dvm-accel`.
-    let result = match config.mmu {
-        SchemeId::CONV_4K => unit.run::<dispatch::Conv4K>(),
-        SchemeId::CONV_2M => unit.run::<dispatch::Conv2M>(),
-        SchemeId::CONV_1G => unit.run::<dispatch::Conv1G>(),
-        SchemeId::DVM_BM => unit.run::<dispatch::DvmBm>(),
-        SchemeId::DVM_PE => unit.run::<dispatch::DvmPe>(),
-        SchemeId::DVM_PE_PLUS => unit.run::<dispatch::DvmPePlus>(),
-        SchemeId::IDEAL => unit.run::<dispatch::Ideal>(),
-        SchemeId::SVA_PF => unit.run::<dispatch::SvaPf>(),
-        SchemeId::SVA_IOMMU => unit.run::<dispatch::SvaIommu>(),
-        _ => unit.run::<dispatch::Dyn>(),
-    }
-    .map_err(DvmError::from)?;
 
     let stats = &iommu.stats;
     Ok(GraphRunReport {

@@ -54,8 +54,6 @@ pub use sweep::{
     effective_jobs, parallel_map_ordered, CellReports, EpochGrid, ReportStore, SweepCell,
     SweepProgress, SweepRunner, SweepSpec, UnitKey,
 };
-#[allow(deprecated)]
-pub use sweep::{run_sweep, run_sweep_opts, SweepOptions};
 pub use table1::{page_table_study, PageTableStudy};
 
 // Re-export the pieces downstream users need most, so `dvm-core` works as

@@ -9,33 +9,6 @@
 use dvm_sim::Cycles;
 use dvm_types::{AccessKind, PhysAddr};
 
-/// Latency class of one DRAM transaction: a full-latency fetch (walker
-/// PTE/bitmap reads, squashed preloads — anything a pipeline stalls on)
-/// or a pipelined data access charged its amortized bandwidth share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DramClass {
-    /// Isolated, latency-bound transaction ([`Dram::access`]).
-    Fetch,
-    /// Pipelined, bandwidth-bound transaction
-    /// ([`Dram::occupancy_access`]).
-    Pipelined,
-}
-
-/// One DRAM transaction, as recorded by a [`Dram::recording`] instance
-/// and replayed into another instance's counters by [`Dram::replay`].
-/// The lane pipeline ships these from the translate sub-lane (which owns
-/// the IOMMU and needs only the latency *oracle*) to the memory sub-lane
-/// (which owns the counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DramEvent {
-    /// Physical address of the transaction.
-    pub pa: PhysAddr,
-    /// Read/write/execute, as counted.
-    pub kind: AccessKind,
-    /// Which latency the transaction was charged.
-    pub class: DramClass,
-}
-
 /// DRAM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
@@ -88,12 +61,6 @@ pub struct Dram {
     /// `channels - 1` when the channel count is a power of two, so the
     /// per-access channel select is a mask instead of a modulo.
     channel_mask: Option<u64>,
-    /// In recording mode ([`Dram::recording`]) every transaction is also
-    /// appended here; the buffer's capacity is reused across
-    /// [`Dram::drain_events`] calls, so steady-state recording allocates
-    /// nothing. Always empty otherwise.
-    events: Vec<DramEvent>,
-    recording: bool,
 }
 
 impl Dram {
@@ -118,43 +85,6 @@ impl Dram {
                 .channels
                 .is_power_of_two()
                 .then(|| config.channels as u64 - 1),
-            events: Vec::new(),
-            recording: false,
-        }
-    }
-
-    /// Build a *recording* DRAM model: it answers latency queries exactly
-    /// like [`Dram::new`] would, but additionally appends every
-    /// transaction to an event log drained with
-    /// [`drain_events`](Self::drain_events). The translate sub-lane of
-    /// the three-stage pipeline runs the IOMMU against one of these; its
-    /// own counters are scratch — the authoritative counts live in the
-    /// memory sub-lane's instance, fed by [`replay`](Self::replay).
-    pub fn recording(config: DramConfig) -> Self {
-        let mut dram = Self::new(config);
-        dram.recording = true;
-        dram
-    }
-
-    /// `true` if this instance records its transactions.
-    pub fn is_recording(&self) -> bool {
-        self.recording
-    }
-
-    /// Drain the recorded transactions, in issue order, keeping the log's
-    /// capacity. Empty (and cheap) on a non-recording instance.
-    pub fn drain_events(&mut self) -> std::vec::Drain<'_, DramEvent> {
-        self.events.drain(..)
-    }
-
-    /// Apply one recorded transaction to this instance's counters and
-    /// return the latency its class carries — the replay half of the
-    /// event API. Counter state after replaying a recorded stream is
-    /// byte-identical to having issued the accesses directly.
-    pub fn replay(&mut self, ev: DramEvent) -> Cycles {
-        match ev.class {
-            DramClass::Fetch => self.access(ev.pa, ev.kind),
-            DramClass::Pipelined => self.occupancy_access(ev.pa, ev.kind),
         }
     }
 
@@ -167,13 +97,6 @@ impl Dram {
     /// return its full latency in cycles.
     pub fn access(&mut self, pa: PhysAddr, kind: AccessKind) -> Cycles {
         self.count(pa, kind);
-        if self.recording {
-            self.events.push(DramEvent {
-                pa,
-                kind,
-                class: DramClass::Fetch,
-            });
-        }
         self.config.access_latency
     }
 
@@ -181,13 +104,6 @@ impl Dram {
     /// (bandwidth-share) cost in cycles.
     pub fn occupancy_access(&mut self, pa: PhysAddr, kind: AccessKind) -> Cycles {
         self.count(pa, kind);
-        if self.recording {
-            self.events.push(DramEvent {
-                pa,
-                kind,
-                class: DramClass::Pipelined,
-            });
-        }
         self.config.occupancy_cycles
     }
 
@@ -268,63 +184,6 @@ mod tests {
         d.reset_stats();
         assert_eq!(d.accesses(), 0);
         assert_eq!(d.channel_accesses().iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn recorded_stream_replays_to_identical_counters() {
-        let config = DramConfig::default();
-        let mut recorder = Dram::recording(config);
-        assert!(recorder.is_recording());
-        // Mixed fetches and pipelined accesses, with matching latencies.
-        assert_eq!(
-            recorder.access(PhysAddr::new(0x40), AccessKind::Read),
-            config.access_latency
-        );
-        assert_eq!(
-            recorder.occupancy_access(PhysAddr::new(0x80), AccessKind::Write),
-            config.occupancy_cycles
-        );
-        recorder.access(PhysAddr::new(0xC0), AccessKind::Execute);
-
-        // A direct run on one instance...
-        let mut direct = Dram::new(config);
-        direct.access(PhysAddr::new(0x40), AccessKind::Read);
-        direct.occupancy_access(PhysAddr::new(0x80), AccessKind::Write);
-        direct.access(PhysAddr::new(0xC0), AccessKind::Execute);
-
-        // ...must equal a replay of the recorded stream on another, and
-        // the replayed latencies must match the classes.
-        let events: Vec<DramEvent> = recorder.drain_events().collect();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].class, DramClass::Fetch);
-        assert_eq!(events[1].class, DramClass::Pipelined);
-        let mut replayed = Dram::new(config);
-        let lats: Vec<Cycles> = events.iter().map(|&ev| replayed.replay(ev)).collect();
-        assert_eq!(
-            lats,
-            vec![
-                config.access_latency,
-                config.occupancy_cycles,
-                config.access_latency
-            ]
-        );
-        assert_eq!(replayed.reads(), direct.reads());
-        assert_eq!(replayed.writes(), direct.writes());
-        assert_eq!(replayed.channel_accesses(), direct.channel_accesses());
-        // Drained: the log is empty again and the recorder keeps going.
-        assert_eq!(recorder.drain_events().count(), 0);
-        recorder.access(PhysAddr::new(0), AccessKind::Read);
-        assert_eq!(recorder.drain_events().count(), 1);
-    }
-
-    #[test]
-    fn non_recording_instance_logs_nothing() {
-        let mut d = Dram::new(DramConfig::default());
-        assert!(!d.is_recording());
-        d.access(PhysAddr::new(0), AccessKind::Read);
-        d.occupancy_access(PhysAddr::new(64), AccessKind::Write);
-        assert_eq!(d.drain_events().count(), 0);
-        assert_eq!(d.accesses(), 2);
     }
 
     #[test]

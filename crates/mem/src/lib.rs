@@ -31,7 +31,7 @@ pub mod dram;
 pub mod physmem;
 
 pub use buddy::{BuddyAllocator, BuddyStats, FrameRange, FreeSpanHistogram};
-pub use dram::{Dram, DramClass, DramConfig, DramEvent};
+pub use dram::{Dram, DramConfig};
 pub use physmem::PhysMem;
 
 use dvm_types::PAGE_SIZE;

@@ -178,26 +178,6 @@ impl PhysMem {
             self.resident -= 1;
         }
     }
-
-    /// A new memory of the same size holding copies of just the listed
-    /// frames (all others read as zero). Used to hand a translation-lane
-    /// thread its own snapshot of the page-table and bitmap frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any listed frame is out of range.
-    pub fn clone_frames(&self, frames: impl IntoIterator<Item = u64>) -> PhysMem {
-        let mut snap = PhysMem::new(self.total_frames());
-        for frame in frames {
-            if frame >= self.total_frames() {
-                self.out_of_range(PhysAddr::from_frame(frame));
-            }
-            if let Some(data) = self.frames[frame as usize].as_deref() {
-                *snap.frame_mut(frame as usize) = *data;
-            }
-        }
-        snap
-    }
 }
 
 macro_rules! typed_access {
@@ -347,27 +327,5 @@ mod tests {
     fn out_of_range_panics() {
         let mem = PhysMem::new(1);
         let _ = mem.read_u8(PhysAddr::new(PAGE_SIZE));
-    }
-
-    #[test]
-    fn clone_frames_copies_only_listed() {
-        let mut mem = PhysMem::new(4);
-        mem.write_u64(PhysAddr::from_frame(1), 11);
-        mem.write_u64(PhysAddr::from_frame(2), 22);
-        let snap = mem.clone_frames([1, 3]);
-        assert_eq!(snap.total_frames(), 4);
-        assert_eq!(snap.read_u64(PhysAddr::from_frame(1)), 11);
-        assert_eq!(snap.read_u64(PhysAddr::from_frame(2)), 0, "not listed");
-        assert_eq!(snap.read_u64(PhysAddr::from_frame(3)), 0, "never written");
-        // The snapshot is independent: writes do not propagate either way.
-        mem.write_u64(PhysAddr::from_frame(1), 99);
-        assert_eq!(snap.read_u64(PhysAddr::from_frame(1)), 11);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond memory")]
-    fn clone_frames_rejects_out_of_range() {
-        let mem = PhysMem::new(2);
-        let _ = mem.clone_frames([5]);
     }
 }

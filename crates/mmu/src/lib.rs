@@ -36,7 +36,6 @@
 //! ```
 
 pub mod iommu;
-pub mod lanes;
 pub mod memo;
 pub mod memsys;
 pub mod nested;
@@ -45,7 +44,6 @@ pub mod scheme;
 pub mod tlb;
 
 pub use iommu::{AccessCtx, Iommu, IommuStats, Validation};
-pub use lanes::{translation_snapshot, FuncView};
 pub use memo::TranslationMemo;
 pub use memsys::MemSystem;
 pub use nested::{NestedScheme, NestedTranslation, NestedWalker};

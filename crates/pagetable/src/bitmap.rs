@@ -50,14 +50,6 @@ impl PermBitmap {
         self.pages_covered.div_ceil(4).div_ceil(PAGE_SIZE) * PAGE_SIZE
     }
 
-    /// The physical frames holding the bitmap.
-    pub fn frames(&self) -> FrameRange {
-        FrameRange {
-            start: self.base_frame,
-            count: self.storage_bytes() / PAGE_SIZE,
-        }
-    }
-
     /// Number of 4 KiB VA pages covered.
     pub fn pages_covered(&self) -> u64 {
         self.pages_covered
@@ -180,15 +172,6 @@ mod tests {
         let (mut mem, mut alloc) = setup();
         let bm = PermBitmap::new(&mut mem, &mut alloc, 1 << 20).unwrap();
         assert_eq!(bm.perms_of(&mem, 1 << 40), Permission::None);
-    }
-
-    #[test]
-    fn frames_cover_storage() {
-        let (mut mem, mut alloc) = setup();
-        let bm = PermBitmap::new(&mut mem, &mut alloc, 32 << 30).unwrap();
-        let range = bm.frames();
-        assert_eq!(range.count * PAGE_SIZE, bm.storage_bytes());
-        assert_eq!(PhysAddr::from_frame(range.start), bm.entry_pa(0));
     }
 
     #[test]

@@ -60,28 +60,6 @@ impl PageTable {
         scan(mem, TOP_LEVEL, self.root_frame(), &mut report);
         report
     }
-
-    /// Every physical frame holding a table page of this tree (root
-    /// included, leaves and PE targets excluded). Together with the
-    /// permission bitmap these frames are the complete translation state:
-    /// copying them into a fresh `PhysMem` gives an independent view that
-    /// resolves every VA exactly as the original does.
-    pub fn table_frames(&self, mem: &PhysMem) -> Vec<u64> {
-        let mut frames = Vec::new();
-        collect_tables(mem, self.root_frame(), &mut frames);
-        frames
-    }
-}
-
-fn collect_tables(mem: &PhysMem, frame: u64, frames: &mut Vec<u64>) {
-    frames.push(frame);
-    for idx in 0..ENTRIES_PER_TABLE {
-        let pa = PhysAddr::from_frame(frame) + idx as u64 * 8;
-        let pte = Pte::from_raw(mem.read_u64(pa));
-        if pte.is_present() && !pte.is_pe() && !pte.is_leaf() {
-            collect_tables(mem, pte.pfn(), frames);
-        }
-    }
 }
 
 fn scan(mem: &PhysMem, level: u8, frame: u64, report: &mut SizeReport) {
@@ -161,42 +139,5 @@ mod tests {
         assert_eq!(r.table_frames[0], 4);
         assert_eq!(r.l1_pte_count, 2048);
         assert!(r.l1_fraction() > 0.5);
-    }
-
-    #[test]
-    fn table_frames_matches_size_report() {
-        let (mut mem, mut alloc) = setup();
-        let mut pt = PageTable::new(&mut mem, &mut alloc).unwrap();
-        pt.map_identity_pe(
-            &mut mem,
-            &mut alloc,
-            VirtAddr::new(4 << 20),
-            4 << 20,
-            Permission::ReadWrite,
-        )
-        .unwrap();
-        pt.map_identity_leaves(
-            &mut mem,
-            &mut alloc,
-            VirtAddr::new(64 << 20),
-            2 << 20,
-            Permission::ReadWrite,
-            dvm_types::PageSize::Size4K,
-        )
-        .unwrap();
-        let report = pt.size_report(&mem);
-        let frames = pt.table_frames(&mem);
-        assert_eq!(
-            frames.len() as u64,
-            report.table_frames.iter().sum::<u64>(),
-            "enumerates exactly the table pages the size report counts"
-        );
-        assert_eq!(frames[0], pt.root_frame());
-        // A snapshot of those frames translates like the original memory.
-        let snap = mem.clone_frames(frames);
-        let va = VirtAddr::new(4 << 20);
-        assert_eq!(pt.translate(&snap, va), pt.translate(&mem, va));
-        let va = VirtAddr::new(64 << 20);
-        assert_eq!(pt.translate(&snap, va), pt.translate(&mem, va));
     }
 }

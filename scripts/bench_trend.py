@@ -3,23 +3,19 @@
 and guard against regressions.
 
 Usage: bench_trend.py LABEL FIG8_MS FIG9_MS [FIG11_MS]
-       bench_trend.py lanes SERIAL_MS LANES2_MS LANES3_MS
 
 The trend file is an append-only history of the figure sweeps that
 dominate a quick reproduction. The *baseline* is the newest prior entry
-that carries a fig8 sample (lanes rows do not); after appending, the
-script exits non-zero if the new fig8 wall time exceeds the baseline by
-more than 25% — a per-access performance regression in the simulation
-core, which scripts/ci.sh treats as a failure. fig9 and fig11 are
+that carries a fig8 sample (older rows without one, such as the fig2
+row recorded for the since-removed intra-unit pipeline, are skipped);
+after appending, the script exits non-zero if the new fig8 wall time
+exceeds the baseline by more than 25% — a per-access performance
+regression in the simulation core, which scripts/ci.sh treats as a
+failure. fig9 and fig11 are
 recorded but not guarded: under the shared report cache they mostly
 replay fig8's units, so their wall time largely measures I/O (for
 fig11, plus the two SVA schemes). Entries recorded before fig11 existed
 simply lack the key.
-
-The `lanes` form records the fig2 quick sweep's wall time at --lanes
-1/2/3 plus the derived speedups. It is a record, not a guard: on a
-single-core CI box the pipeline cannot beat the fused loop, so the row
-documents the trend without failing the build.
 """
 
 import json
@@ -34,34 +30,7 @@ def load_doc() -> tuple[Path, dict]:
     assert doc["experiment"] == "bench-trend", path
     return path, doc
 
-def lanes_row(serial_ms: int, lanes2_ms: int, lanes3_ms: int) -> int:
-    path, doc = load_doc()
-    entry = {
-        "label": "lanes",
-        "lanes1_wall_ms": serial_ms,
-        "lanes2_wall_ms": lanes2_ms,
-        "lanes3_wall_ms": lanes3_ms,
-        "lanes2_speedup": round(serial_ms / lanes2_ms, 3) if lanes2_ms else None,
-        "lanes3_speedup": round(serial_ms / lanes3_ms, 3) if lanes3_ms else None,
-    }
-    doc["entries"].append(entry)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-    # A 0 ms wall time (fast machine, coarse clock) keeps a null speedup
-    # in the JSON row but must not print as "xNone".
-    def show(speedup) -> str:
-        return "n/a" if speedup is None else f"x{speedup}"
-
-    print(
-        f"bench-trend: lanes row — serial {serial_ms} ms, "
-        f"2 lanes {lanes2_ms} ms ({show(entry['lanes2_speedup'])}), "
-        f"3 lanes {lanes3_ms} ms ({show(entry['lanes3_speedup'])})"
-    )
-    return 0
-
 def main() -> int:
-    if len(sys.argv) == 5 and sys.argv[1] == "lanes":
-        return lanes_row(int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]))
     if len(sys.argv) not in (4, 5):
         print(__doc__, file=sys.stderr)
         return 2

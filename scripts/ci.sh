@@ -79,36 +79,17 @@ kill $FARM_PIDS 2> /dev/null || true
 FARM_PIDS=""
 echo "fig2 farm output is byte-identical to serial"
 
-echo "== lane determinism (fig2, quick scale, --lanes 2 and --lanes 3)"
-# Both pipelined shapes — two lanes (functional|timing) and three lanes
-# (functional|translate|memory) — must be byte-identical to the fused
-# serial run, text table and JSON document alike. Each run is timed and
-# the three wall times become a lanes-speedup row in
-# results/BENCH_trend.json (a record, not a guard: a single-core CI box
-# cannot show a pipeline speedup).
-now_ms() { python3 -c 'import time; print(int(time.time()*1000))'; }
-t0=$(now_ms)
-target/release/fig2 --scale quick --datasets FR --jobs 1 --lanes 1 \
+echo "== threaded determinism (fig2, quick scale, --jobs 2)"
+# Two sweep worker threads in one process must also be byte-identical to
+# the serial run, text table and JSON document alike. The shard and farm
+# gates above spread units over processes; this one covers the
+# in-process worker pool.
+target/release/fig2 --scale quick --datasets FR --jobs 2 \
     --cache-dir "$SHARD_TMP/cache" \
-    --json "$SHARD_TMP/lane1.json" > "$SHARD_TMP/lane1.txt"
-LANE1_MS=$(($(now_ms) - t0))
-cmp "$SHARD_TMP/serial.txt" "$SHARD_TMP/lane1.txt"
-t0=$(now_ms)
-target/release/fig2 --scale quick --datasets FR --jobs 1 --lanes 2 \
-    --cache-dir "$SHARD_TMP/cache" \
-    --json "$SHARD_TMP/lane2.json" > "$SHARD_TMP/lane2.txt"
-LANE2_MS=$(($(now_ms) - t0))
-cmp "$SHARD_TMP/serial.txt" "$SHARD_TMP/lane2.txt"
-cmp "$SHARD_TMP/serial.json" "$SHARD_TMP/lane2.json"
-t0=$(now_ms)
-target/release/fig2 --scale quick --datasets FR --jobs 1 --lanes 3 \
-    --cache-dir "$SHARD_TMP/cache" \
-    --json "$SHARD_TMP/lane3.json" > "$SHARD_TMP/lane3.txt"
-LANE3_MS=$(($(now_ms) - t0))
-cmp "$SHARD_TMP/serial.txt" "$SHARD_TMP/lane3.txt"
-cmp "$SHARD_TMP/serial.json" "$SHARD_TMP/lane3.json"
-python3 scripts/bench_trend.py lanes "$LANE1_MS" "$LANE2_MS" "$LANE3_MS"
-echo "fig2 laned output (2 and 3 lanes) is byte-identical to serial"
+    --json "$SHARD_TMP/jobs2.json" > "$SHARD_TMP/jobs2.txt"
+cmp "$SHARD_TMP/serial.txt" "$SHARD_TMP/jobs2.txt"
+cmp "$SHARD_TMP/serial.json" "$SHARD_TMP/jobs2.json"
+echo "fig2 --jobs 2 output is byte-identical to serial"
 
 echo "== cache byte budget (fig2, quick scale, budget below working set)"
 # A budget one byte below the two-dataset working set forces an eviction
@@ -153,6 +134,7 @@ echo "== perf trend (fig8 + fig9, quick scale)"
 # both wall times to results/BENCH_trend.json, and fail if fig8
 # regressed more than 25% over the last recorded entry. Outputs are also
 # diffed against the goldens — the perf machinery must not change bytes.
+now_ms() { python3 -c 'import time; print(int(time.time()*1000))'; }
 t0=$(now_ms)
 target/release/fig8 --scale quick --jobs 1 --cache-dir results/.dataset-cache \
     --report-cache "$SHARD_TMP/report-cache" \

@@ -110,12 +110,10 @@ run table3
 run table1
 run table4
 run fig10
-# The sweep binaries also take --lanes 0 (auto): each unit splits into a
-# functional and a timing lane when a spare core exists, byte-identically.
-run fig2 "${RC_ARGS[@]}" --lanes 0
-run fig8 "${RC_ARGS[@]}" --lanes 0
-run fig9 "${RC_ARGS[@]}" --lanes 0
-run fig11 "${RC_ARGS[@]}" --lanes 0
+run fig2 "${RC_ARGS[@]}"
+run fig8 "${RC_ARGS[@]}"
+run fig9 "${RC_ARGS[@]}"
+run fig11 "${RC_ARGS[@]}"
 run table5
 run virt
 run churn
