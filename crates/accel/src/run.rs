@@ -15,6 +15,7 @@
 //! functional-only and untimed; all graph-data traffic is timed.
 
 use crate::layout::GraphInMemory;
+use dvm_mem::RowWord;
 use dvm_mmu::{dispatch, MemSystem, SchemeDispatch};
 use dvm_sim::{Cycles, Histogram};
 use dvm_types::{Fault, VirtAddr, PAGE_SIZE};
@@ -230,53 +231,6 @@ fn poke_f32(sys: &mut MemSystem, va: VirtAddr, value: f32) {
     poke_u32(sys, va, value.to_bits());
 }
 
-/// Largest factor vector (in bytes) the batched helpers handle on the
-/// stack; larger vectors fall back to per-element accesses.
-const VEC_BUF_BYTES: usize = 512;
-
-/// Untimed read of `k` contiguous f32 elements with a single translation
-/// (the vector is page-contained: strides divide the page size).
-fn peek_vec(sys: &MemSystem, va: VirtAddr, k: u64, out: &mut Vec<f32>) {
-    let (pa, _) = sys
-        .untimed_translate(va)
-        .unwrap_or_else(|| panic!("untimed read of unmapped {va}"));
-    out.clear();
-    let len = k as usize * 4;
-    if len <= VEC_BUF_BYTES {
-        let mut buf = [0u8; VEC_BUF_BYTES];
-        sys.mem.read_bytes(pa, &mut buf[..len]);
-        out.extend(
-            buf[..len]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap())),
-        );
-    } else {
-        for lane in 0..k {
-            out.push(sys.mem.read_f32(pa + lane * 4));
-        }
-    }
-}
-
-/// Untimed write of elements `1..k` (element 0 is written by the timed store).
-fn poke_vec_tail(sys: &mut MemSystem, va: VirtAddr, values: &[f32]) {
-    let (pa, _) = sys
-        .untimed_translate(va)
-        .unwrap_or_else(|| panic!("untimed write of unmapped {va}"));
-    let tail = &values[1..];
-    let len = tail.len() * 4;
-    if len <= VEC_BUF_BYTES {
-        let mut buf = [0u8; VEC_BUF_BYTES];
-        for (chunk, v) in buf.chunks_exact_mut(4).zip(tail) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-        sys.mem.write_bytes(pa + 4, &buf[..len]);
-    } else {
-        for (lane, v) in values.iter().enumerate().skip(1) {
-            sys.mem.write_f32(pa + lane as u64 * 4, *v);
-        }
-    }
-}
-
 /// Host-side memset of a `u32` array (page-chunked, untimed).
 fn memset_u32(sys: &mut MemSystem, base: VirtAddr, count: u64, value: u32) {
     // One full page of the fill pattern, sliced per chunk. `base` is
@@ -342,20 +296,21 @@ impl<D: SchemeDispatch> Port<'_, '_, D> {
         self.pending = lat;
         Ok(value)
     }
-    #[inline]
-    fn read_f32(&mut self, va: VirtAddr) -> Result<f32, Fault> {
-        let (value, lat) = self.sys.read_f32_via::<D>(va)?;
-        self.pending = lat;
-        Ok(value)
+    /// One timed transaction moving a whole row (see
+    /// [`MemSystem::read_row_via`]).
+    #[inline(always)]
+    fn read_row<T: RowWord>(&mut self, va: VirtAddr, out: &mut [T]) -> Result<(), Fault> {
+        self.pending = self.sys.read_row_via::<D, T>(va, out)?;
+        Ok(())
     }
     #[inline]
     fn write_u32(&mut self, va: VirtAddr, value: u32) -> Result<(), Fault> {
         self.pending = self.sys.write_u32_via::<D>(va, value)?;
         Ok(())
     }
-    #[inline]
-    fn write_f32(&mut self, va: VirtAddr, value: f32) -> Result<(), Fault> {
-        self.pending = self.sys.write_f32_via::<D>(va, value)?;
+    #[inline(always)]
+    fn write_row<T: RowWord>(&mut self, va: VirtAddr, row: &[T]) -> Result<(), Fault> {
+        self.pending = self.sys.write_row_via::<D, T>(va, row)?;
         Ok(())
     }
     #[inline]
@@ -377,20 +332,19 @@ impl<D: SchemeDispatch> Port<'_, '_, D> {
 // ---------------------------------------------------------------------
 
 /// Timed read of an edge record; returns `(src, dst, weight)` with the
-/// cost pending. One timed transaction covers the 12-byte record (it fits
-/// a 64-byte line); the weight lane is completed functionally.
-#[inline]
+/// cost pending. The model charges one transaction per 12-byte record by
+/// design, although two of every 16 records straddle a 64-byte line; the
+/// whole record comes from the validated address unless it straddles a
+/// page.
+#[inline(always)]
 fn read_edge<D: SchemeDispatch>(
     port: &mut Port<'_, '_, D>,
     g: &GraphInMemory,
     i: u64,
 ) -> Result<(u32, u32, f32), Fault> {
-    let va = g.edge_entry(i);
-    let srcdst = port.read_u64(va)?;
-    let src = srcdst as u32;
-    let dst = (srcdst >> 32) as u32;
-    let weight = peek_f32(port.sys, va + 8);
-    Ok((src, dst, weight))
+    let mut rec = [0u32; 3];
+    port.read_row(g.edge_entry(i), &mut rec)?;
+    Ok((rec[0], rec[1], f32::from_bits(rec[2])))
 }
 
 // ---------------------------------------------------------------------
@@ -656,27 +610,20 @@ fn cf<D: SchemeDispatch>(
     features: u32,
 ) -> Result<(u64, u32), Fault> {
     assert!(features > 0, "CF needs at least one feature");
-    // Deterministic small initial factors (one translation and one byte
-    // write per vertex).
-    let mut row = Vec::with_capacity(features as usize * 4);
+    let k = features as usize;
+    // Deterministic small initial factors, one untimed row per vertex.
+    let mut uvec = vec![0.0f32; k];
     for v in 0..g.num_vertices {
-        row.clear();
-        for f in 0..features {
+        for (f, x) in uvec.iter_mut().enumerate() {
             let seed = ((v as u64 * 31 + f as u64 * 7) % 97) as f32;
-            row.extend_from_slice(&(0.05 + seed / 1000.0).to_le_bytes());
+            *x = 0.05 + seed / 1000.0;
         }
-        let (pa, _) = port
-            .sys
-            .untimed_translate(g.prop_entry(v))
+        port.sys
+            .untimed_write_row(g.prop_entry(v), &uvec)
             .expect("prop array mapped");
-        port.sys.mem.write_bytes(pa, &row);
     }
+    let mut mvec = vec![0.0f32; k];
     let mut edges_processed = 0u64;
-    let k = features as u64;
-    let mut uvec: Vec<f32> = Vec::with_capacity(k as usize);
-    let mut mvec: Vec<f32> = Vec::with_capacity(k as usize);
-    let mut unew: Vec<f32> = Vec::with_capacity(k as usize);
-    let mut mnew: Vec<f32> = Vec::with_capacity(k as usize);
 
     for _ in 0..iterations {
         for j in 0..g.num_edges {
@@ -686,36 +633,25 @@ fn cf<D: SchemeDispatch>(
             let e_stream = port.next_stream();
             port.charge(e_stream);
             edges_processed += 1;
-            // Vector reads: one timed transaction each (the vector is one
-            // DRAM burst), remaining elements functional with one translation.
+            // Each factor vector is one DRAM burst: one timed transaction
+            // per row read and per row write.
             let user_va = g.prop_entry(user);
             let item_va = g.prop_entry(item);
-            let u0 = port.read_f32(user_va)?;
+            port.read_row(user_va, &mut uvec)?;
             port.charge(e_user);
-            let m0 = port.read_f32(item_va)?;
+            port.read_row(item_va, &mut mvec)?;
             port.charge(e_item);
-            peek_vec(port.sys, user_va, k, &mut uvec);
-            peek_vec(port.sys, item_va, k, &mut mvec);
-            uvec[0] = u0;
-            mvec[0] = m0;
             let err = rating - uvec.iter().zip(&mvec).map(|(a, b)| a * b).sum::<f32>();
-            // SGD update of both factor vectors.
-            unew.clear();
-            mnew.clear();
-            for f in 0..k as usize {
-                unew.push(
-                    uvec[f] + CF_LEARNING_RATE * (err * mvec[f] - CF_REGULARIZATION * uvec[f]),
-                );
-                mnew.push(
-                    mvec[f] + CF_LEARNING_RATE * (err * uvec[f] - CF_REGULARIZATION * mvec[f]),
-                );
+            // SGD update of both factor vectors from their old values.
+            for (uf, mf) in uvec.iter_mut().zip(mvec.iter_mut()) {
+                let (old_u, old_m) = (*uf, *mf);
+                *uf = old_u + CF_LEARNING_RATE * (err * old_m - CF_REGULARIZATION * old_u);
+                *mf = old_m + CF_LEARNING_RATE * (err * old_u - CF_REGULARIZATION * old_m);
             }
-            port.write_f32(user_va, unew[0])?;
+            port.write_row(user_va, &uvec)?;
             port.charge(e_user);
-            port.write_f32(item_va, mnew[0])?;
+            port.write_row(item_va, &mvec)?;
             port.charge(e_item);
-            poke_vec_tail(port.sys, user_va, &unew);
-            poke_vec_tail(port.sys, item_va, &mnew);
         }
     }
     Ok((edges_processed, iterations))

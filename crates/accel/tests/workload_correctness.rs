@@ -104,30 +104,42 @@ fn sssp_matches_dijkstra_on_all_configs() {
 
 #[test]
 fn cf_matches_reference_sgd() {
+    // 24 features make a 96-byte stride that does not divide the page, so
+    // some feature rows straddle a page boundary.
     let graph = bipartite_graph();
-    let workload = Workload::Cf {
-        iterations: 1,
-        features: 8,
-    };
-    let want = reference::cf_factors(&graph, 1, 8);
-    for config in [SchemeId::IDEAL, SchemeId::DVM_PE_PLUS] {
-        let mut os = os_for(config);
-        let pid = os.spawn().unwrap();
-        let g = layout::load_graph(&mut os, pid, &graph, workload.prop_stride()).unwrap();
-        let mut iommu = Iommu::new(config, EnergyParams::default());
-        let mut dram = Dram::new(DramConfig::default());
-        let pt = os.process(pid).unwrap().page_table;
-        let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut os.machine.mem, &mut dram);
-        run(&workload, &g, &mut sys, &AccelConfig::default()).unwrap();
-        // Dump all 8 features per vertex.
-        let mut got = Vec::new();
-        for v in 0..g.num_vertices {
-            for f in 0..8u64 {
-                let (pa, _) = sys.pt.translate(sys.mem, g.prop_entry(v) + f * 4).unwrap();
-                got.push(sys.mem.read_f32(pa));
+    for features in [8u32, 24, 32] {
+        let workload = Workload::Cf {
+            iterations: 1,
+            features,
+        };
+        let want = reference::cf_factors(&graph, 1, features);
+        for config in SchemeId::all() {
+            let mut os = os_for(config);
+            let pid = os.spawn().unwrap();
+            let g = layout::load_graph(&mut os, pid, &graph, workload.prop_stride()).unwrap();
+            let mut iommu = Iommu::new(config, EnergyParams::default());
+            let mut dram = Dram::new(DramConfig::default());
+            let pt = os.process(pid).unwrap().page_table;
+            let bitmap = os.bitmap;
+            let mut sys = MemSystem::new(
+                &mut iommu,
+                &pt,
+                bitmap.as_ref(),
+                &mut os.machine.mem,
+                &mut dram,
+            );
+            run(&workload, &g, &mut sys, &AccelConfig::default()).unwrap();
+            // Dump every feature of every vertex, one translation each.
+            let mut got = Vec::new();
+            for v in 0..g.num_vertices {
+                for f in 0..u64::from(features) {
+                    let (pa, _) = sys.pt.translate(sys.mem, g.prop_entry(v) + f * 4).unwrap();
+                    got.push(sys.mem.read_f32(pa).to_bits());
+                }
             }
+            let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+            assert!(got == want_bits, "config {config}, {features} features");
         }
-        assert_eq!(got, want, "config {config}");
     }
 }
 

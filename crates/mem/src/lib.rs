@@ -32,7 +32,7 @@ pub mod physmem;
 
 pub use buddy::{BuddyAllocator, BuddyStats, FrameRange, FreeSpanHistogram};
 pub use dram::{Dram, DramConfig};
-pub use physmem::PhysMem;
+pub use physmem::{PhysMem, RowWord};
 
 use dvm_types::PAGE_SIZE;
 

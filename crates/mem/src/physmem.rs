@@ -232,7 +232,92 @@ typed_access!(read_u16, write_u16, u16);
 typed_access!(read_u32, write_u32, u32);
 typed_access!(read_u64, write_u64, u64);
 
+/// A 4-byte little-endian element of a row moved by
+/// [`PhysMem::read_row`] and [`PhysMem::write_row`].
+pub trait RowWord: Copy {
+    /// Decode a little-endian word.
+    fn from_le(bytes: [u8; 4]) -> Self;
+    /// Encode as a little-endian word.
+    fn to_le(self) -> [u8; 4];
+}
+
+impl RowWord for u32 {
+    #[inline]
+    fn from_le(bytes: [u8; 4]) -> Self {
+        u32::from_le_bytes(bytes)
+    }
+    #[inline]
+    fn to_le(self) -> [u8; 4] {
+        self.to_le_bytes()
+    }
+}
+
+impl RowWord for f32 {
+    #[inline]
+    fn from_le(bytes: [u8; 4]) -> Self {
+        f32::from_le_bytes(bytes)
+    }
+    #[inline]
+    fn to_le(self) -> [u8; 4] {
+        self.to_le_bytes()
+    }
+}
+
 impl PhysMem {
+    #[cold]
+    #[inline(never)]
+    fn row_crosses_frame(&self, pa: PhysAddr, words: usize) -> ! {
+        panic!("row of {words} words at {pa} crosses a frame boundary");
+    }
+
+    /// Read `out.len()` consecutive words starting at `pa`, all within
+    /// `pa`'s frame: one in-frame copy. An unwritten frame reads as zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row crosses a frame boundary or lies beyond memory.
+    #[inline(always)]
+    pub fn read_row<T: RowWord>(&self, pa: PhysAddr, out: &mut [T]) {
+        let frame = (pa.raw() >> PAGE_SHIFT) as usize;
+        let offset = (pa.raw() & (PAGE_SIZE - 1)) as usize;
+        // Cannot overflow: a slice of 4-byte words spans at most
+        // `isize::MAX` bytes.
+        let len = out.len() * 4;
+        if len > FRAME_BYTES - offset {
+            self.row_crosses_frame(pa, out.len());
+        }
+        match self.frames.get(frame) {
+            Some(Some(data)) => {
+                let bytes = &data[offset..offset + len];
+                for (word, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+                    *word = T::from_le(b.try_into().expect("4-byte chunk"));
+                }
+            }
+            Some(None) => out.fill(T::from_le([0; 4])),
+            None => self.out_of_range(pa),
+        }
+    }
+
+    /// Write `row` as consecutive words starting at `pa`, all within
+    /// `pa`'s frame: one in-frame copy, materializing only that frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row crosses a frame boundary or lies beyond memory.
+    #[inline(always)]
+    pub fn write_row<T: RowWord>(&mut self, pa: PhysAddr, row: &[T]) {
+        let (frame, offset) = self.frame_of(pa);
+        // Cannot overflow, as in `read_row`.
+        let len = row.len() * 4;
+        if len > FRAME_BYTES - offset {
+            self.row_crosses_frame(pa, row.len());
+        }
+        let bytes = &mut self.frame_mut(frame)[offset..offset + len];
+        for (b, word) in bytes.chunks_exact_mut(4).zip(row) {
+            b.copy_from_slice(&word.to_le());
+        }
+    }
+
     /// Read an `f32` stored little-endian at `pa`.
     #[inline]
     pub fn read_f32(&self, pa: PhysAddr) -> f32 {
@@ -320,6 +405,42 @@ mod tests {
         assert_eq!(mem.read_u16(PhysAddr::new(10)), 0x0101);
         assert_eq!(mem.read_u32(PhysAddr::new(12)), 0);
         assert_eq!(mem.read_u8(PhysAddr::new(16)), 1);
+    }
+
+    #[test]
+    fn row_copy_stays_in_one_frame() {
+        let mut mem = PhysMem::new(4);
+        // An unwritten frame reads as zeros and stays unmaterialized.
+        let mut row = [7.0f32; 6];
+        mem.read_row(PhysAddr::from_frame(1) + 8, &mut row);
+        assert_eq!(row, [0.0; 6]);
+        assert_eq!(mem.resident_frames(), 0);
+        // A row ending exactly at the frame's end materializes that frame
+        // alone and round-trips word for word.
+        let pa = PhysAddr::from_frame(2) + (PAGE_SIZE - 24);
+        let vals = [1.5f32, -2.0, 3.25, 0.0, f32::MIN_POSITIVE, 1e9];
+        mem.write_row(pa, &vals);
+        assert_eq!(mem.resident_frames(), 1);
+        mem.read_row(pa, &mut row);
+        assert_eq!(row, vals);
+        for (i, v) in vals.iter().enumerate() {
+            assert_eq!(mem.read_f32(pa + i as u64 * 4), *v);
+        }
+        let mut words = [0u32; 2];
+        mem.read_row(pa, &mut words);
+        assert_eq!(words, [1.5f32.to_bits(), (-2.0f32).to_bits()]);
+        assert_eq!(
+            mem.read_u32(PhysAddr::from_frame(3)),
+            0,
+            "next frame untouched"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses a frame boundary")]
+    fn row_crossing_a_frame_panics() {
+        let mut mem = PhysMem::new(2);
+        mem.write_row(PhysAddr::new(PAGE_SIZE - 4), &[1u32, 2]);
     }
 
     #[test]

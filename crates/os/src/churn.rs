@@ -148,8 +148,8 @@ impl ChurnEpoch {
 pub struct ChurnResult {
     /// One entry per epoch, in order.
     pub epochs: Vec<ChurnEpoch>,
-    /// Frames still allocated after every process was drained — 0 unless
-    /// an out-of-memory fork abandoned a partially built child.
+    /// Frames still allocated after every process was drained; anything
+    /// but 0 is a leak in the OS model.
     pub leaked_frames: u64,
 }
 
@@ -318,8 +318,7 @@ pub fn run_on(os: &mut Os, config: &ChurnConfig) -> Result<ChurnResult, DvmError
         prev = s;
     }
 
-    // Drain everything — including any partially built fork children the
-    // scheduler lost track of — in pid order.
+    // Drain every process, in pid order.
     let mut pids: Vec<Pid> = os.processes.keys().copied().collect();
     pids.sort_unstable();
     for pid in pids {

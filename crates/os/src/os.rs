@@ -356,14 +356,31 @@ impl Os {
         }
         let leaf = self.flavor.leaf().unwrap_or(PageSize::Size4K);
         for (i, chunk) in chunks.iter().enumerate() {
-            proc.page_table.map_page(
+            let mapped = proc.page_table.map_page(
                 &mut self.machine.mem,
                 &mut self.machine.allocator,
                 va + i as u64 * granule,
                 PhysAddr::from_frame(chunk.start),
                 leaf,
                 perms,
-            )?;
+            );
+            if let Err(e) = mapped {
+                // Out of table frames mid-way: drop the whole leaves
+                // mapped so far (no split, so no allocation) and give
+                // every data chunk back.
+                if i > 0 {
+                    proc.page_table.unmap_region(
+                        &mut self.machine.mem,
+                        &mut self.machine.allocator,
+                        va,
+                        i as u64 * granule,
+                    )?;
+                }
+                for c in chunks {
+                    self.machine.allocator.free_frames(c);
+                }
+                return Err(e);
+            }
         }
         proc.vmas.insert(
             va.raw(),
@@ -457,10 +474,26 @@ impl Os {
     ///
     /// # Errors
     ///
-    /// [`DvmError::NoSuchProcess`] / [`DvmError::OutOfMemory`].
+    /// [`DvmError::NoSuchProcess`] / [`DvmError::OutOfMemory`]. A fork
+    /// that fails leaves no child behind and no frame with an extra
+    /// reference.
     pub fn fork(&mut self, parent: Pid) -> Result<Pid, DvmError> {
         self.process(parent)?;
         let child = self.spawn()?;
+        if let Err(e) = self.share_address_space(parent, child) {
+            // Failed mid-build: the partial child holds a reference to
+            // exactly the VMAs it finished mapping; exiting releases them
+            // and its page table.
+            self.exit(child).expect("the partial child exists");
+            return Err(e);
+        }
+        Ok(child)
+    }
+
+    /// Map every VMA of `parent` copy-on-write into the fresh `child`.
+    /// A VMA's frames gain the child's reference only once the child's
+    /// mapping of that VMA is complete.
+    fn share_address_space(&mut self, parent: Pid, child: Pid) -> Result<(), DvmError> {
         let parent_vmas: Vec<Vma> = self.process(parent)?.vmas().cloned().collect();
         let parent_cursor = self.process(parent)?.demand_cursor;
 
@@ -471,12 +504,6 @@ impl Os {
             } else {
                 vma.perms
             };
-
-            // Share every currently backing frame.
-            for page in 0..vma.pages() {
-                let frame = vma.frame_of_page(page);
-                *self.frame_refs.entry(frame).or_insert(1) += 1;
-            }
 
             // Protect the parent's mappings read-only.
             if writable {
@@ -553,10 +580,16 @@ impl Os {
             let mut child_vma = vma.clone();
             child_vma.cow = writable;
             child_proc.vmas.insert(child_vma.start.raw(), child_vma);
+
+            // Share every currently backing frame.
+            for page in 0..vma.pages() {
+                let frame = vma.frame_of_page(page);
+                *self.frame_refs.entry(frame).or_insert(1) += 1;
+            }
         }
         let child_proc = self.processes.get_mut(&child).expect("fresh child");
         child_proc.demand_cursor = child_proc.demand_cursor.max(parent_cursor);
-        Ok(child)
+        Ok(())
     }
 
     /// `vfork`: create a child that *shares* the parent's address space

@@ -362,3 +362,80 @@ fn churn_scenario_drains_without_leaks() {
         "scenario never broke a CoW page"
     );
 }
+
+#[test]
+fn fork_that_runs_out_of_memory_leaks_nothing() {
+    // A 2 GiB machine under 12 arrivals per epoch runs out of memory in
+    // the middle of some forks. A failed fork must leave no half-built
+    // child and no frame reference behind. The seed is the stock churn
+    // seed 42 XOR the splitmix64 scramble of 4, a schedule known to fail
+    // forks mid-build.
+    let result = dvm_os::churn::run(&dvm_os::ChurnConfig {
+        mem_bytes: 2 << 30,
+        epochs: 48,
+        arrivals_per_epoch: 12,
+        mean_lifetime_epochs: 8,
+        max_region_bytes: 16 << 20,
+        seed: 0x6e73_e372_e233_8ae0,
+        ..dvm_os::ChurnConfig::default()
+    })
+    .unwrap();
+    assert!(
+        result.epochs.iter().map(|e| e.oom_events).sum::<u64>() > 0,
+        "scenario never ran out of memory"
+    );
+    assert_eq!(result.leaked_frames, 0, "a failed fork leaked frames");
+}
+
+#[test]
+fn fork_failing_mid_build_leaves_no_trace() {
+    // Fill a small machine, then hand frames back one hog page at a time
+    // and retry the fork: every failed attempt, including those that ran
+    // out of table frames after the child was spawned, must leave the
+    // free-frame count and the process set exactly as they were.
+    let mut os = Os::new(OsConfig {
+        machine: MachineConfig {
+            mem_bytes: 16 << 20,
+        },
+        ..OsConfig::default()
+    });
+    let free_at_boot = os.machine.allocator.free_frames_count();
+    let parent = os.spawn().unwrap();
+    let buf = os.mmap(parent, 256 << 10, Permission::ReadWrite).unwrap();
+    os.write_u64(parent, buf, 7).unwrap();
+    let hog = os.spawn().unwrap();
+    let mut hog_pages = Vec::new();
+    loop {
+        match os.mmap(hog, PAGE_SIZE, Permission::ReadWrite) {
+            Ok(va) => hog_pages.push(va),
+            Err(DvmError::OutOfMemory { .. }) => break,
+            Err(e) => panic!("hog mmap: {e}"),
+        }
+    }
+    let mut failed = 0;
+    let child = loop {
+        let free = os.machine.allocator.free_frames_count();
+        match os.fork(parent) {
+            Ok(child) => break child,
+            Err(DvmError::OutOfMemory { .. }) => {
+                failed += 1;
+                assert_eq!(os.machine.allocator.free_frames_count(), free);
+                os.munmap(hog, hog_pages.pop().expect("fork fits eventually"))
+                    .unwrap();
+            }
+            Err(e) => panic!("fork: {e}"),
+        }
+    };
+    assert!(failed > 0, "memory was never tight enough to fail a fork");
+    for pid in hog + 1..child {
+        assert!(
+            os.process(pid).is_err(),
+            "half-built child {pid} left behind"
+        );
+    }
+    assert_eq!(os.read_u64(child, buf).unwrap(), 7);
+    for pid in [child, hog, parent] {
+        os.exit(pid).unwrap();
+    }
+    assert_eq!(os.machine.allocator.free_frames_count(), free_at_boot);
+}

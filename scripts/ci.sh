@@ -33,6 +33,13 @@ cargo test -q
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+echo "== cargo test --release (accel, mem, mmu)"
+# Debug builds panic on integer overflow and keep debug_assert!s; release
+# builds wrap and drop them. Row offsets and lengths are index
+# arithmetic, so the crates that compute them are also tested under the
+# release profile the simulator ships with.
+cargo test --release -q -p dvm-accel -p dvm-mem -p dvm-mmu
+
 echo "== shard-merge determinism (fig2, quick scale, 2 shards)"
 # A coordinator-merged 2-shard run must be byte-identical to the serial
 # run — text table and JSON document alike. The shared dataset cache
