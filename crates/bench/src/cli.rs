@@ -1,6 +1,6 @@
 //! The one command line shared by every bench binary.
 //!
-//! Before this module, each of the nine binaries carried its own ad-hoc
+//! Before this module, each bench binary carried its own ad-hoc
 //! `std::env::args()` loop; they now parse through [`BenchArgs`] once and
 //! stay declarative (a [`dvm_core::SweepSpec`] or item grid plus a
 //! formatter). Parsing is pure ([`BenchArgs::try_parse`] takes any
@@ -15,9 +15,11 @@
 //! --jobs N                        worker threads per process (0 = all cores)
 //! --json PATH                     also write the machine-readable document
 //! --shards N                      fan the grid out over N worker processes
+//!                                 (a loopback farm; with --farm, the slice count)
 //! --shard I/N                     run only shard I, write a fragment, exit
 //! --shard-out PATH                fragment path (only with --shard)
 //! --merge-dir DIR                 merge fragments written by --shard workers
+//! --farm HOST:PORT                run the grid on a farmd coordinator's workers
 //! --cache-dir DIR                 on-disk dataset cache (see dvm-graph)
 //! --cache-max-bytes N             LRU-evict dataset-cache entries over N bytes
 //! --report-cache DIR              per-unit report cache shared across binaries
@@ -52,15 +54,14 @@ impl fmt::Display for Shard {
 pub enum ShardRole {
     /// Run the whole grid in this process (the default).
     Single,
-    /// Spawn `N` worker processes and merge their fragments.
-    Coordinator(usize),
     /// Run one shard and write a fragment (no stdout contract).
     Worker(Shard),
     /// Merge fragments other workers already wrote (e.g. on other
     /// machines) without running anything.
     Merge,
-    /// Submit the sweep to a `farmd` coordinator (`--farm host:port`)
-    /// and merge the fragments its workers send back.
+    /// Run the sweep on a farm and merge the fragments its workers send
+    /// back: a `farmd` coordinator (`--farm host:port`), or with a bare
+    /// `--shards N` a loopback farm of N local workers.
     Farm,
 }
 
@@ -80,7 +81,8 @@ pub struct BenchArgs {
     pub jobs: usize,
     /// Where to write the machine-readable results, if anywhere.
     pub json: Option<PathBuf>,
-    /// Coordinator: number of worker processes to spawn.
+    /// Farm: number of slices (and, without `--farm`, of loopback
+    /// worker processes).
     pub shards: Option<usize>,
     /// Worker: the slice of the grid this process runs.
     pub shard: Option<Shard>,
@@ -249,8 +251,8 @@ impl BenchArgs {
                 "--shard" => {
                     let v = value_of("--shard", &mut args)?;
                     // One message for every malformed shape — no slash,
-                    // non-numeric I or N, N = 0, I >= N — so all ten
-                    // binaries reject bad slices identically (exit 2).
+                    // non-numeric I or N, N = 0, I >= N — so every
+                    // binary rejects bad slices identically (exit 2).
                     let bad = || {
                         err(format!(
                             "--shard needs I/N with 0 <= I < N (e.g. 0/4), got '{v}'"
@@ -487,10 +489,8 @@ impl BenchArgs {
     pub fn role(&self) -> ShardRole {
         if let Some(shard) = self.shard {
             ShardRole::Worker(shard)
-        } else if self.farm.is_some() {
+        } else if self.farm.is_some() || self.shards.is_some() {
             ShardRole::Farm
-        } else if let Some(n) = self.shards {
-            ShardRole::Coordinator(n)
         } else if self.merge_dir.is_some() {
             ShardRole::Merge
         } else {
@@ -664,9 +664,12 @@ impl BenchArgs {
         }
     }
 
-    /// The grid-defining flags every re-spawned process needs: scale,
-    /// filters, jobs, caches, progress — minus any role flag.
-    fn base_argv(&self) -> Vec<String> {
+    /// The argv submitted with a farm job: the grid-defining flags every
+    /// worker needs — scale, filters, jobs, caches, progress — minus any
+    /// role flag. Farm workers append `--shard I/N --shard-out PATH`
+    /// themselves per slice (and may override the cache paths with local
+    /// ones).
+    pub fn farm_argv(&self) -> Vec<String> {
         let mut argv = vec!["--scale".to_string(), self.scale.name().to_string()];
         if let Some(datasets) = &self.datasets {
             argv.push("--datasets".to_string());
@@ -701,31 +704,6 @@ impl BenchArgs {
         }
         argv
     }
-
-    /// The argv a coordinator hands to worker `index` of `count`:
-    /// everything the worker needs to build the identical grid, minus the
-    /// coordinator-only flags.
-    pub fn worker_argv(
-        &self,
-        index: usize,
-        count: usize,
-        fragment: &std::path::Path,
-    ) -> Vec<String> {
-        let mut argv = self.base_argv();
-        argv.push("--shard".to_string());
-        argv.push(format!("{index}/{count}"));
-        argv.push("--shard-out".to_string());
-        argv.push(fragment.display().to_string());
-        argv
-    }
-
-    /// The argv submitted with a `--farm` job: the same grid-defining
-    /// flags as [`Self::worker_argv`], but with no shard assignment —
-    /// farm workers append `--shard I/N --shard-out PATH` themselves
-    /// per slice (and may override the cache paths with local ones).
-    pub fn farm_argv(&self) -> Vec<String> {
-        self.base_argv()
-    }
 }
 
 #[cfg(test)]
@@ -734,6 +712,19 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<BenchArgs, CliError> {
         BenchArgs::try_parse(args.iter().map(|s| s.to_string()))
+    }
+
+    /// What a farm worker runs for slice `index` of `count`: the job's
+    /// [`BenchArgs::farm_argv`] plus the shard tail it appends.
+    fn slice_argv(args: &BenchArgs, index: usize, count: usize) -> Vec<String> {
+        let mut argv = args.farm_argv();
+        argv.extend([
+            "--shard".to_string(),
+            format!("{index}/{count}"),
+            "--shard-out".to_string(),
+            "frag.json".to_string(),
+        ]);
+        argv
     }
 
     #[test]
@@ -778,10 +769,11 @@ mod tests {
             parse(&["--shard", "1/3"]).unwrap().role(),
             ShardRole::Worker(Shard { index: 1, count: 3 })
         );
-        assert_eq!(
-            parse(&["--shards", "4"]).unwrap().role(),
-            ShardRole::Coordinator(4)
-        );
+        // A bare --shards N is a loopback farm of N workers.
+        let args = parse(&["--shards", "4"]).unwrap();
+        assert_eq!(args.role(), ShardRole::Farm);
+        assert!(args.farm.is_none());
+        assert_eq!(args.shards, Some(4));
         assert_eq!(
             parse(&["--merge-dir", "d"]).unwrap().role(),
             ShardRole::Merge
@@ -811,8 +803,7 @@ mod tests {
         let args = parse(&["--farm", "127.0.0.1:9000"]).unwrap();
         assert_eq!(args.farm.as_deref(), Some("127.0.0.1:9000"));
         assert_eq!(args.role(), ShardRole::Farm);
-        // --shards under --farm is the requested slice count, not a
-        // local coordinator role.
+        // --shards under --farm is the requested slice count.
         let args = parse(&["--farm", "host:1", "--shards", "4"]).unwrap();
         assert_eq!(args.role(), ShardRole::Farm);
         assert_eq!(args.shards, Some(4));
@@ -824,10 +815,12 @@ mod tests {
     }
 
     #[test]
-    fn farm_argv_is_worker_argv_without_the_shard_tail() {
+    fn farm_argv_carries_the_grid_but_no_role_flag() {
         let args = parse(&[
             "--farm",
             "h:1",
+            "--shards",
+            "3",
             "--scale",
             "smoke",
             "--jobs",
@@ -835,14 +828,10 @@ mod tests {
             "--progress",
         ])
         .unwrap();
-        let farm = args.farm_argv();
-        let worker = args.worker_argv(0, 2, std::path::Path::new("f.json"));
-        assert_eq!(worker[..farm.len()], farm[..]);
         assert_eq!(
-            worker[farm.len()..],
-            ["--shard", "0/2", "--shard-out", "f.json"]
+            args.farm_argv(),
+            ["--scale", "smoke", "--jobs", "2", "--progress"].map(String::from)
         );
-        assert!(!farm.iter().any(|a| a == "--farm" || a == "--shard"));
     }
 
     #[test]
@@ -936,8 +925,7 @@ mod tests {
             Some(64 << 20)
         );
         // Workers must enforce the same budgets on the shared dirs.
-        let argv = args.worker_argv(0, 2, std::path::Path::new("frag.json"));
-        let worker = BenchArgs::try_parse(argv).unwrap();
+        let worker = BenchArgs::try_parse(slice_argv(&args, 0, 2)).unwrap();
         assert_eq!(worker.cache_max_bytes, Some(2 << 30));
         assert_eq!(worker.report_cache_max_bytes, Some(64 << 20));
         let _ = std::fs::remove_dir_all(&dir);
@@ -980,7 +968,7 @@ mod tests {
         let args = parse(&["--report-cache", dir.to_str().unwrap()]).unwrap();
         let reports = args.reports.as_ref().expect("report cache opened");
         assert_eq!(reports.dir(), dir.as_path());
-        let argv = args.worker_argv(0, 2, std::path::Path::new("frag.json"));
+        let argv = args.farm_argv();
         let pos = argv.iter().position(|a| a == "--report-cache").unwrap();
         assert_eq!(argv[pos + 1], dir.display().to_string());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1037,10 +1025,9 @@ mod tests {
 
     #[test]
     fn schemes_flag_reaches_workers() {
-        let coordinator = parse(&["--schemes", "DVM-PE+,SVA-IOMMU"]).unwrap();
-        let argv = coordinator.worker_argv(0, 2, std::path::Path::new("frag.json"));
-        let worker = BenchArgs::try_parse(argv).unwrap();
-        assert_eq!(worker.schemes, coordinator.schemes);
+        let submitter = parse(&["--schemes", "DVM-PE+,SVA-IOMMU"]).unwrap();
+        let worker = BenchArgs::try_parse(slice_argv(&submitter, 0, 2)).unwrap();
+        assert_eq!(worker.schemes, submitter.schemes);
         assert_eq!(
             worker.try_iommu_schemes(&[]).unwrap(),
             vec![SchemeId::DVM_PE_PLUS, SchemeId::SVA_IOMMU]
@@ -1048,13 +1035,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_argv_round_trips_through_the_parser() {
-        let coordinator = parse(&["--scale", "smoke", "--datasets", "FR", "--jobs", "2"]).unwrap();
-        let argv = coordinator.worker_argv(1, 2, std::path::Path::new("frag.json"));
-        let worker = BenchArgs::try_parse(argv).unwrap();
-        assert_eq!(worker.scale, coordinator.scale);
-        assert_eq!(worker.datasets, coordinator.datasets);
-        assert_eq!(worker.jobs, coordinator.jobs);
+    fn farm_argv_round_trips_through_the_parser() {
+        let submitter = parse(&["--scale", "smoke", "--datasets", "FR", "--jobs", "2"]).unwrap();
+        let worker = BenchArgs::try_parse(slice_argv(&submitter, 1, 2)).unwrap();
+        assert_eq!(worker.scale, submitter.scale);
+        assert_eq!(worker.datasets, submitter.datasets);
+        assert_eq!(worker.jobs, submitter.jobs);
         assert_eq!(
             worker.role(),
             ShardRole::Worker(Shard { index: 1, count: 2 })

@@ -5,10 +5,10 @@
 //!
 //! * [`cli`] — the one typed command line ([`BenchArgs`]) every binary
 //!   parses, including the sharding flags,
-//! * [`shard`] — the multi-process sweep runner: a coordinator respawns
-//!   the binary as `--shard I/N` workers, collects raw-result fragments
-//!   and formats the merged grid exactly once, so N-shard output is
-//!   byte-identical to the serial run,
+//! * [`shard`] — the multi-process sweep runner: a farm (remote, or a
+//!   loopback one for `--shards N`) runs the binary as `--shard I/N`
+//!   workers, and their raw-result fragments are merged and formatted
+//!   exactly once, so N-shard output is byte-identical to the serial run,
 //! * [`json`] — the hand-rolled JSON layer: [`JsonDoc`] builder (every
 //!   document opens with `schema_version` + `experiment`), renderer,
 //!   parser and header validation.

@@ -1,27 +1,28 @@
 //! The multi-process sweep runner.
 //!
-//! A bench binary invoked with `--shards N` becomes a **coordinator**: it
-//! respawns its own executable N times with `--shard I/N`, each worker
-//! runs the round-robin slice of the grid ([`SweepSpec::shard`]) and
-//! writes a *fragment* — raw per-unit results keyed by global grid index
-//! — then exits. The coordinator collects the fragments, reassembles the
-//! results **in spec order**, and runs the ordinary formatting path
-//! exactly once. Because formatting consumes the same values a
-//! single-process run would produce (integers exactly, floats through
-//! the shortest-representation render and correctly-rounded parse), the
+//! A bench binary invoked with `--shard I/N` is a **worker**: it runs the
+//! round-robin slice of the grid ([`SweepSpec::shard`]), writes a
+//! *fragment* — raw per-unit results keyed by global grid index — and
+//! exits. Every other multi-process run only gathers fragments:
+//! `--farm HOST:PORT` submits the grid to a running `farmd`, `--shards N`
+//! alone starts a loopback farm (an in-process `farmd` plus N worker
+//! threads that spawn this executable), and `--merge-dir DIR` reads
+//! fragments some other machine's workers already wrote. The gathered
+//! fragments are reassembled **in spec order** and formatted exactly
+//! once. Because formatting consumes the same values a single-process
+//! run would produce (integers exactly, floats through the
+//! shortest-representation render and correctly-rounded parse), the
 //! merged text table and `--json` document are byte-identical to a
 //! `--jobs 1` run by construction.
 //!
 //! Workers' stdout is discarded (their banner lines are not part of any
-//! contract). Without `--progress`, stderr is inherited so dataset-cache
-//! statistics stream through; with it, the coordinator pipes each
-//! worker's stderr and merges the N per-shard `progress:` streams into
-//! one global `done/total` count (other lines pass through verbatim).
-//! `--merge-dir DIR` skips the spawning and merges fragments some other
-//! machine's workers already wrote — the multi-host workflow.
+//! contract). Their stderr reaches ours through the farm: `progress:`
+//! lines are merged into one global `done/total` count (printed under
+//! `--progress`), everything else — dataset-cache statistics included —
+//! passes through verbatim.
 //!
-//! Workers inherit the coordinator's cache flags verbatim (see
-//! [`BenchArgs::worker_argv`]), including `--cache-max-bytes` and
+//! Workers inherit the submitting process's cache flags verbatim (see
+//! [`BenchArgs::farm_argv`]), including `--cache-max-bytes` and
 //! `--report-cache-max-bytes`: every worker enforces the same LRU byte
 //! budget on the shared cache directories. Eviction is safe under this
 //! concurrency because a worker that loses an entry mid-sweep just
@@ -42,9 +43,10 @@ use dvm_core::{
 };
 use dvm_pagetable::SizeReport;
 use dvm_sim::Histogram;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// A per-unit result that can cross a process boundary through a shard
 /// fragment and come back *value-identical*: `from_json(to_json(x))`
@@ -430,112 +432,34 @@ fn write_fragment(
     std::fs::write(&path, format!("{doc}\n")).expect("writing shard fragment failed");
 }
 
-/// Respawn this executable as `count` shard workers, wait for all of
-/// them, and return their parsed fragments. Worker stdout is discarded —
-/// banners belong to the coordinator. Under `--progress` each worker's
-/// stderr is piped through [`collapse_progress`] so the user sees one
-/// `done/total_units` count over the whole grid instead of `count`
-/// interleaved per-shard counts; otherwise stderr is inherited.
-fn spawn_workers(
-    args: &BenchArgs,
-    experiment: &str,
-    count: usize,
-    total_units: usize,
-) -> Result<Vec<Json>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
-    let dir = std::env::temp_dir().join(format!("dvm-shards-{experiment}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let done = std::sync::Arc::new(AtomicUsize::new(0));
-    let result = (|| {
-        let paths: Vec<PathBuf> = (0..count)
-            .map(|i| dir.join(fragment_name(experiment, i, count)))
-            .collect();
-        let mut children = Vec::with_capacity(count);
-        for (i, path) in paths.iter().enumerate() {
-            let mut command = Command::new(&exe);
-            command
-                .args(args.worker_argv(i, count, path))
-                .stdout(Stdio::null());
-            if args.progress {
-                command.stderr(Stdio::piped());
-            }
-            let mut child = command
-                .spawn()
-                .map_err(|e| format!("spawning shard {i}/{count} failed: {e}"))?;
-            let relay = child.stderr.take().map(|stderr| {
-                let done = std::sync::Arc::clone(&done);
-                std::thread::spawn(move || relay_worker_stderr(stderr, &done, total_units))
-            });
-            children.push((child, relay));
-        }
-        for (i, (mut child, relay)) in children.into_iter().enumerate() {
-            let status = child
-                .wait()
-                .map_err(|e| format!("waiting on shard {i} failed: {e}"))?;
-            if let Some(relay) = relay {
-                let _ = relay.join();
-            }
-            if !status.success() {
-                return Err(format!("shard {i}/{count} exited with {status}"));
-            }
-        }
-        paths.iter().map(|path| read_fragment(path)).collect()
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-/// Stream one worker's stderr to ours, collapsing its `progress:` lines
-/// into the shared global count; everything else (dataset-cache
-/// statistics, diagnostics) passes through untouched. Lines go out via
-/// [`dvm_farm::emit_stderr_line`] — length-checked and written whole
-/// under the stderr lock — so concurrent relay threads can never tear
-/// each other's lines the way buffered `eprintln!` fragments could.
-fn relay_worker_stderr(stderr: std::process::ChildStderr, done: &AtomicUsize, total: usize) {
-    use std::io::BufRead as _;
-    for line in std::io::BufReader::new(stderr).lines() {
-        let Ok(line) = line else { return };
-        match collapse_progress(&line, done, total) {
-            Some(merged) => dvm_farm::emit_stderr_line(&merged),
-            None => dvm_farm::emit_stderr_line(&line),
-        }
-    }
-}
-
-/// If `line` is a worker `progress:` line, bump the global counter and
-/// return the merged `progress: done/total (unit label)` form — the
-/// worker's own shard tag and per-shard count are dropped, the unit
-/// label (the text in the final parentheses) is kept.
-fn collapse_progress(line: &str, done: &AtomicUsize, total: usize) -> Option<String> {
-    let rest = line.strip_prefix("progress: ")?;
-    let label = rest
-        .rfind('(')
-        .map_or(rest, |open| rest[open + 1..].trim_end_matches(')'));
-    let n = done.fetch_add(1, Ordering::AcqRel) + 1;
-    Some(format!("progress: {n}/{total} ({label})"))
-}
-
-/// Submit the sweep to the `--farm` coordinator and return the parsed
-/// fragments its workers produced, in slice order. The farm ships
-/// fragment *bytes*; they are the same documents `--shard` workers
-/// write, so the ordinary merge path downstream keeps the output
-/// byte-identical to a serial run.
+/// Run the sweep on a farm and return the parsed fragments its workers
+/// produced, in slice order. `--farm HOST:PORT` submits to a running
+/// `farmd`; `--shards N` alone starts a loopback farm in this process
+/// ([`start_loopback_farm`]). The farm ships fragment *bytes*; they are
+/// the same documents `--shard` workers write, so the ordinary merge path
+/// downstream keeps the output byte-identical to a serial run.
 fn farm_fragments(
     args: &BenchArgs,
     experiment: &str,
     total_units: usize,
 ) -> Result<Vec<Json>, String> {
-    let addr = args.farm.as_deref().expect("farm role has an address");
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
     let bin = exe
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or("cannot name own executable")?
         .to_string();
+    let slices = args.shards.unwrap_or(0);
+    let addr = match &args.farm {
+        Some(addr) => addr.clone(),
+        // One worker per slice the coordinator will cut (never more
+        // slices than units).
+        None => start_loopback_farm(&exe, slices.min(total_units.max(1)))?,
+    };
     let req = dvm_farm::JobRequest {
         bin,
         experiment: experiment.to_string(),
-        slices: args.shards.unwrap_or(0),
+        slices,
         total_units,
         argv: args.farm_argv(),
     };
@@ -548,7 +472,7 @@ fn farm_fragments(
         }
         dvm_farm::JobEvent::Line(line) => dvm_farm::emit_stderr_line(line),
     };
-    let fragments = dvm_farm::run_job(addr, &req, &mut on_event)?;
+    let fragments = dvm_farm::run_job(&addr, &req, &mut on_event)?;
     fragments
         .iter()
         .enumerate()
@@ -558,6 +482,44 @@ fn farm_fragments(
             parse(text).map_err(|e| format!("farm fragment {i} is not valid JSON: {e}"))
         })
         .collect()
+}
+
+/// Start a `farmd` on an ephemeral loopback port plus `workers` worker
+/// threads that run slices with `exe`, and return the coordinator's
+/// address. The threads are detached: once the job is done they idle
+/// until the process exits.
+fn start_loopback_farm(exe: &Path, workers: usize) -> Result<String, String> {
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| format!("cannot bind the loopback farm: {e}"))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| format!("loopback farm has no address: {e}"))?
+        .to_string();
+    let cfg = dvm_farm::FarmConfig {
+        // Local workers share this host's cores, so a second copy of a
+        // slow slice cannot finish sooner: never requeue a running slice.
+        slice_timeout: Duration::MAX,
+        ..dvm_farm::FarmConfig::default()
+    };
+    std::thread::spawn(move || dvm_farm::serve(listener, cfg));
+    let bin_dir = exe.parent().ok_or("own executable has no directory")?;
+    for i in 0..workers {
+        let cfg = dvm_farm::WorkerConfig {
+            addr: addr.clone(),
+            bin_dir: bin_dir.to_path_buf(),
+            name: format!("local{i}"),
+            cache_dir: None,
+            report_cache: None,
+            scratch: std::env::temp_dir(),
+            connect_wait: Duration::ZERO,
+        };
+        std::thread::spawn(move || {
+            if let Err(e) = dvm_farm::run_worker(&cfg) {
+                dvm_farm::emit_stderr_line(&format!("farmworker[{}]: {e}", cfg.name));
+            }
+        });
+    }
+    Ok(addr)
 }
 
 fn read_fragment(path: &Path) -> Result<Json, String> {
@@ -587,7 +549,7 @@ fn read_merge_dir(dir: &Path, experiment: &str) -> Result<Vec<Json>, String> {
 
 /// Run a graph sweep under this process's sharding role, returning
 /// merged results in spec order. Workers write their fragment and exit
-/// inside this call; the single/coordinator/farm/merge roles return.
+/// inside this call; the single/farm/merge roles return.
 ///
 /// # Panics
 ///
@@ -623,23 +585,22 @@ pub fn run_sharded_sweep(
             args.report_cache_stats();
             std::process::exit(0);
         }
-        ShardRole::Coordinator(count) => {
-            let fragments = spawn_workers(args, experiment, count, spec.unit_count())
-                .unwrap_or_else(|e| fail(experiment, &e));
-            cells_from_fragments(args, experiment, &spec, &fragments)
-        }
-        ShardRole::Farm => {
-            let fragments = farm_fragments(args, experiment, spec.unit_count())
-                .unwrap_or_else(|e| fail(experiment, &e));
-            cells_from_fragments(args, experiment, &spec, &fragments)
-        }
-        ShardRole::Merge => {
-            let dir = args.merge_dir.as_deref().expect("merge role has a dir");
-            let fragments =
-                read_merge_dir(dir, experiment).unwrap_or_else(|e| fail(experiment, &e));
+        ShardRole::Farm | ShardRole::Merge => {
+            let fragments = gathered_fragments(args, experiment, spec.unit_count());
             cells_from_fragments(args, experiment, &spec, &fragments)
         }
     }
+}
+
+/// The fragments the Farm and Merge roles format: read from
+/// `--merge-dir`, or returned by a farm (`--farm`, or the loopback farm
+/// of a bare `--shards N`). Exits with a diagnostic on failure.
+fn gathered_fragments(args: &BenchArgs, experiment: &str, total_units: usize) -> Vec<Json> {
+    let fragments = match &args.merge_dir {
+        Some(dir) => read_merge_dir(dir, experiment),
+        None => farm_fragments(args, experiment, total_units),
+    };
+    fragments.unwrap_or_else(|e| fail(experiment, &e))
 }
 
 fn cells_from_fragments(
@@ -721,8 +682,8 @@ fn sweep_with_options(
 /// `labels.len()` units — under this process's sharding role, returning
 /// values in unit order. The non-sweep harnesses (Figure 10's CPU grid,
 /// the table studies, the nested-translation study) all route through
-/// here, so every binary honours `--shards`/`--shard`/`--merge-dir`
-/// identically.
+/// here, so every binary honours `--shards`/`--shard`/`--merge-dir`/
+/// `--farm` identically.
 ///
 /// # Panics
 ///
@@ -752,20 +713,8 @@ where
             args.report_cache_stats();
             std::process::exit(0);
         }
-        ShardRole::Coordinator(count) => {
-            let fragments = spawn_workers(args, experiment, count, labels.len())
-                .unwrap_or_else(|e| fail(experiment, &e));
-            grid_from_fragments(args, experiment, labels, &fragments)
-        }
-        ShardRole::Farm => {
-            let fragments = farm_fragments(args, experiment, labels.len())
-                .unwrap_or_else(|e| fail(experiment, &e));
-            grid_from_fragments(args, experiment, labels, &fragments)
-        }
-        ShardRole::Merge => {
-            let dir = args.merge_dir.as_deref().expect("merge role has a dir");
-            let fragments =
-                read_merge_dir(dir, experiment).unwrap_or_else(|e| fail(experiment, &e));
+        ShardRole::Farm | ShardRole::Merge => {
+            let fragments = gathered_fragments(args, experiment, labels.len());
             grid_from_fragments(args, experiment, labels, &fragments)
         }
     }
@@ -969,43 +918,6 @@ mod tests {
             .contains("1 of 2"));
         // Empty set.
         assert!(merge_fragments(&[], "t", "smoke", 2).is_err());
-    }
-
-    #[test]
-    fn interleaved_worker_progress_collapses_into_one_count() {
-        let done = AtomicUsize::new(0);
-        // Two workers over a 4-unit grid, lines arriving interleaved:
-        // shard tags and per-shard counts vanish, labels survive, and
-        // the merged count runs 1..=4 in arrival order.
-        let lines = [
-            "progress: shard 0/2 1/2 (BFS/FR 4K)",
-            "progress: shard 1/2 1/2 (BFS/Wiki 2M)",
-            "progress: shard 1/2 2/2 (CF/NF Ideal)",
-            "progress: shard 0/2 2/2 (SSSP/LJ DVM)",
-        ];
-        let merged: Vec<String> = lines
-            .iter()
-            .filter_map(|line| collapse_progress(line, &done, 4))
-            .collect();
-        assert_eq!(
-            merged,
-            [
-                "progress: 1/4 (BFS/FR 4K)",
-                "progress: 2/4 (BFS/Wiki 2M)",
-                "progress: 3/4 (CF/NF Ideal)",
-                "progress: 4/4 (SSSP/LJ DVM)",
-            ]
-        );
-        // run_grid-style lines (no shard tag) and non-progress chatter.
-        assert_eq!(
-            collapse_progress("progress: 1/9 (1 GiB heap)", &done, 4).as_deref(),
-            Some("progress: 5/4 (1 GiB heap)")
-        );
-        assert_eq!(
-            collapse_progress("dataset-cache: hits=3 misses=0", &done, 4),
-            None
-        );
-        assert_eq!(done.load(Ordering::Acquire), 5);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 
 use std::process::Command;
 
-/// All ten harness binaries that accept the shared CLI.
+/// All eleven harness binaries that accept the shared CLI.
 const BINS: &[(&str, &str)] = &[
+    ("churn", env!("CARGO_BIN_EXE_churn")),
     ("fig2", env!("CARGO_BIN_EXE_fig2")),
     ("fig8", env!("CARGO_BIN_EXE_fig8")),
     ("fig9", env!("CARGO_BIN_EXE_fig9")),

@@ -1,10 +1,10 @@
 //! The sharding contract, end to end over real binaries: an N-shard run
 //! produces byte-identical stdout and `--json` output to a serial run,
-//! whether the shards are spawned by a coordinator (`--shards N`) or run
-//! by hand and merged later (`--shard I/N` + `--merge-dir`).
+//! whether the shards run on a loopback farm (`--shards N`) or by hand
+//! and are merged later (`--shard I/N` + `--merge-dir`).
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dvm-shard-merge-{tag}-{}", std::process::id()));
@@ -44,20 +44,33 @@ fn fig2_sharded_runs_match_serial_byte_for_byte() {
         ],
     );
 
-    for shards in ["2", "3"] {
+    let cache = dir.join("cache");
+    for shards in [2, 3] {
         let sharded_json = dir.join(format!("sharded{shards}.json"));
-        let sharded = run(
-            exe,
-            &[
+        let child = Command::new(exe)
+            .args([
                 "--scale",
                 "smoke",
                 "--jobs",
                 "1",
                 "--shards",
-                shards,
+                &shards.to_string(),
+                "--progress",
+                "--cache-dir",
+                cache.to_str().unwrap(),
                 "--json",
                 sharded_json.to_str().unwrap(),
-            ],
+            ])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary ran");
+        let pid = child.id();
+        let sharded = child.wait_with_output().expect("binary finished");
+        let stderr = String::from_utf8_lossy(&sharded.stderr);
+        assert!(
+            sharded.status.success(),
+            "--shards {shards} failed:\n{stderr}"
         );
         assert_eq!(
             serial.stdout, sharded.stdout,
@@ -68,8 +81,49 @@ fn fig2_sharded_runs_match_serial_byte_for_byte() {
             read(&sharded_json),
             "--json of --shards {shards} differs from serial"
         );
+        // Each slice reports its own cache counters (reproduce_all.sh
+        // sums them), and the per-slice progress streams arrive as one
+        // ordered global count over the whole grid.
+        let cache_lines = stderr
+            .lines()
+            .filter(|l| l.starts_with("dataset-cache:"))
+            .count();
+        assert_eq!(cache_lines, shards, "stderr:\n{stderr}");
+        let counts: Vec<&str> = stderr
+            .lines()
+            .filter_map(|l| l.strip_prefix("progress: ")?.split(' ').next())
+            .collect();
+        let total = counts.len();
+        let want: Vec<String> = (1..=total).map(|done| format!("{done}/{total}")).collect();
+        assert_eq!(counts, want, "stderr:\n{stderr}");
+        // Nothing outlives the run: no staged fragment, no slice process.
+        let staged = format!("dvmfarm-{pid}-");
+        assert!(
+            !std::fs::read_dir(std::env::temp_dir())
+                .unwrap()
+                .flatten()
+                .any(|e| e.file_name().to_string_lossy().starts_with(&staged)),
+            "staged fragments outlived --shards {shards}"
+        );
+        assert!(
+            !any_process_mentions(cache.to_str().unwrap()),
+            "slice processes outlived --shards {shards}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Whether a live process's command line mentions `needle` (never,
+/// where `/proc` is unavailable).
+fn any_process_mentions(needle: &str) -> bool {
+    std::fs::read_dir("/proc")
+        .into_iter()
+        .flatten()
+        .flatten()
+        .any(|e| {
+            std::fs::read(e.path().join("cmdline"))
+                .is_ok_and(|cmd| String::from_utf8_lossy(&cmd).contains(needle))
+        })
 }
 
 #[test]

@@ -131,6 +131,12 @@ fn log(msg: &str) {
     emit_stderr_line(&format!("farmd: {msg}"));
 }
 
+/// Whole milliseconds in `d`, saturating at `u64::MAX` so a huge
+/// `--slice-timeout` means "never" rather than wrapping to a tiny limit.
+fn millis(d: Duration) -> u64 {
+    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
+}
+
 impl State {
     fn new(cfg: FarmConfig) -> Self {
         Self {
@@ -261,7 +267,7 @@ impl State {
             if worker.peer.send(&header, &body) {
                 worker.idle = false;
                 worker.running = Some((job_id, sidx));
-                let tick = self.now.elapsed().as_millis() as u64;
+                let tick = millis(self.now.elapsed());
                 let job = self.job_mut(job_id).expect("job still open");
                 job.slice[sidx].status = SliceStatus::Running {
                     worker: worker_id,
@@ -447,8 +453,8 @@ impl State {
         for id in stale {
             self.drop_worker(id, "heartbeat timeout");
         }
-        let now_tick = self.now.elapsed().as_millis() as u64;
-        let limit_ms = self.cfg.slice_timeout.as_millis() as u64;
+        let now_tick = millis(self.now.elapsed());
+        let limit_ms = millis(self.cfg.slice_timeout);
         let slow: Vec<(u64, usize, u64)> = self
             .jobs
             .iter()
@@ -742,6 +748,22 @@ mod tests {
         assert!(frames
             .iter()
             .any(|f| f.verb() == "LINE" && f.body_str().starts_with("dataset-cache:")));
+    }
+
+    #[test]
+    fn huge_slice_timeouts_never_requeue_a_running_slice() {
+        // `farmd --slice-timeout 18446744073709552` passes flag parsing;
+        // its millisecond count overflows u64 and must saturate, not
+        // wrap to a 384 ms limit.
+        let (mut st, _wstream, _cstream) = state_with_worker_and_job();
+        st.cfg.slice_timeout = Duration::from_secs(18_446_744_073_709_552);
+        st.now -= Duration::from_secs(1);
+        st.tick();
+        let slice = &st.jobs[0].slice[0];
+        assert!(
+            matches!(slice.status, SliceStatus::Running { .. }) && slice.attempts == 1,
+            "{slice:?}"
+        );
     }
 
     #[test]

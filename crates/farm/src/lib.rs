@@ -16,6 +16,10 @@
 //!   ordinary shard-merge path, keeping farm output byte-identical to a
 //!   serial run.
 //!
+//! A bench binary given `--shards N` without `--farm` runs all three in
+//! one process: [`serve`] on an ephemeral loopback port, N
+//! [`run_worker`] threads, and [`run_job`] against them.
+//!
 //! The farm never parses fragment contents: they are opaque bytes here,
 //! which keeps this crate free of any bench dependency (bench depends
 //! on farm, not the reverse).

@@ -332,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn progress_labels_extract_like_the_shard_relay() {
+    fn progress_labels_extract_the_unit_label() {
         assert_eq!(
             progress_label("progress: shard 0/2 1/2 (BFS/FR 4K)"),
             Some("BFS/FR 4K")

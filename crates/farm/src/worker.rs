@@ -214,8 +214,9 @@ fn relay_child(
             last_ping = Instant::now();
         }
         if let Some(status) = child.try_wait()? {
-            // Drain whatever stderr remains before reporting.
-            while let Ok(line) = rx.try_recv() {
+            // Drain stderr to EOF before reporting: the pump may not have
+            // read the child's last lines (cache statistics) yet.
+            for line in rx.iter() {
                 write_frame(&mut &*writer, &header, truncate_line(&line).as_bytes())?;
             }
             break status;

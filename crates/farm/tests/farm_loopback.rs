@@ -137,10 +137,11 @@ fn farm_run_is_byte_identical_to_serial() {
     let dir = scratch("loopback");
     let (serial, serial_json) = fig2_serial(&fig2, &dir);
 
-    let (farmd, addr, _log) = start_farmd(&[]);
+    let (farmd, addr, log) = start_farmd(&[]);
     let mut reap = Reap(vec![farmd]);
     reap.0.push(start_worker(&addr, "w1", &bin_dir(), &dir));
     reap.0.push(start_worker(&addr, "w2", &bin_dir(), &dir));
+    wait_for_line(&log, "(id 2)", Duration::from_secs(30)).expect("both workers registered");
 
     // Default slicing: one slice per connected worker.
     let farm_json = dir.join("farm.json");
@@ -220,6 +221,8 @@ fn killing_a_worker_mid_slice_requeues_and_stays_byte_identical() {
     reap.0.push(start_worker(&addr, "w1", &bin_dir(), &dir));
     let w2 = start_worker(&addr, "w2", &decoy_dir, &dir);
     reap.0.push(w2);
+    // Default slicing counts the workers registered at submission.
+    wait_for_line(&log, "(id 2)", Duration::from_secs(30)).expect("both workers registered");
 
     // Run the farm job on a helper thread; the main thread watches the
     // coordinator log for w2's assignment and then kills it.

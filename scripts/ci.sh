@@ -41,8 +41,9 @@ echo "== cargo test --release (accel, mem, mmu)"
 cargo test --release -q -p dvm-accel -p dvm-mem -p dvm-mmu
 
 echo "== shard-merge determinism (fig2, quick scale, 2 shards)"
-# A coordinator-merged 2-shard run must be byte-identical to the serial
-# run — text table and JSON document alike. The shared dataset cache
+# A 2-shard run (a loopback farm: in-process farmd plus two local
+# workers) must be byte-identical to the serial run — text table and
+# JSON document alike. The shared dataset cache
 # means the second run skips regeneration entirely.
 SHARD_TMP=$(mktemp -d)
 FARM_PIDS=""
@@ -170,7 +171,7 @@ scripts/diff_results.sh "$SHARD_TMP" fig11
 
 echo "== shard-merge determinism (fig11, quick scale, 2 shards)"
 # The new binary must honour the same contract as the old ones: a
-# coordinator-merged run is byte-identical to a serial one (the warm
+# 2-shard loopback-farm run is byte-identical to a serial one (the warm
 # report cache makes both replays, so this checks the merge plumbing).
 target/release/fig11 --scale quick --datasets FR --jobs 1 \
     --cache-dir results/.dataset-cache \

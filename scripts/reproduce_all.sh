@@ -10,10 +10,11 @@
 # smoke: seconds; only checks the machinery.
 #
 # --jobs N fans each harness's grid across N worker threads (0 = all
-# cores); --shards N fans it across N worker processes; --farm HOST:PORT
-# submits every grid to a running farmd coordinator instead (with
-# --shards N as the requested slice count). Output is byte-identical to
-# a serial run any way; only wall-clock changes.
+# cores); --shards N fans it across N worker processes (a loopback sweep
+# farm inside each harness); --farm HOST:PORT submits every grid to a
+# running farmd coordinator instead (with --shards N as the requested
+# slice count). Output is byte-identical to a serial run any way; only
+# wall-clock changes.
 # Generated datasets are cached under results/.dataset-cache, so repeat
 # runs skip regeneration. Figures 2, 8, 9 and 11 sweep overlapping unit
 # grids, so they share a per-invocation report cache (results/.report-cache, cleared
@@ -60,7 +61,7 @@ suffix="$SCALE"
 BENCH_ROWS=""
 now_ms() { python3 -c 'import time; print(int(time.time()*1000))'; }
 # Sum a `key=` field across every stderr stats line with the given
-# prefix (each shard worker prints its own dataset-cache/report-cache
+# prefix (each shard or farm slice prints its own dataset-cache/report-cache
 # line).
 cache_count() { # prefix, key, stderr-file
     awk -v prefix="^$1:" -v key="$2" '$0 ~ prefix {
