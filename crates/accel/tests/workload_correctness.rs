@@ -9,6 +9,7 @@ use dvm_graph::{rmat, to_bipartite, Graph, RmatParams};
 use dvm_mem::{Dram, DramConfig, MachineConfig};
 use dvm_mmu::{Iommu, MemSystem, SchemeId};
 use dvm_os::{MapFlavor, Os, OsConfig};
+use dvm_sim::DetRng;
 
 fn os_for(config: SchemeId) -> Os {
     let flavor = match config.required_leaf_size() {
@@ -30,6 +31,15 @@ fn run_workload(
     workload: &Workload,
     graph: &Graph,
 ) -> (dvm_accel::RunResult, Vec<u32>, Vec<f32>) {
+    run_with(config, workload, graph, &AccelConfig::default())
+}
+
+fn run_with(
+    config: SchemeId,
+    workload: &Workload,
+    graph: &Graph,
+    accel: &AccelConfig,
+) -> (dvm_accel::RunResult, Vec<u32>, Vec<f32>) {
     let mut os = os_for(config);
     let pid = os.spawn().unwrap();
     let g = layout::load_graph(&mut os, pid, graph, workload.prop_stride()).unwrap();
@@ -44,7 +54,7 @@ fn run_workload(
         &mut os.machine.mem,
         &mut dram,
     );
-    let result = run(workload, &g, &mut sys, &AccelConfig::default()).unwrap();
+    let result = run(workload, &g, &mut sys, accel).unwrap();
     let props_u32 = dvm_accel::dump_props_u32(&sys, &g);
     let props_f32 = dvm_accel::dump_props_f32(&sys, &g);
     (result, props_u32, props_f32)
@@ -58,6 +68,27 @@ fn bipartite_graph() -> Graph {
     to_bipartite(&rmat(9, 8, RmatParams::default(), 43), 400, 80)
 }
 
+/// The seeded random-graph cases: 16 draws of an R-MAT seed in
+/// `0..10_000`, each with its `DetRng` for further draws.
+fn random_graph_cases() -> impl Iterator<Item = (u64, u64, DetRng)> {
+    (0..16u64).map(|case| {
+        let mut rng = DetRng::new(case);
+        let seed = rng.below(10_000);
+        (case, seed, rng)
+    })
+}
+
+fn assert_sssp_close(dist: &[f32], want: &[f32], ctx: &str) {
+    assert_eq!(dist.len(), want.len(), "{ctx}");
+    for (v, (&got, &want_v)) in dist.iter().zip(want).enumerate() {
+        assert!(
+            (got.is_infinite() && want_v.is_infinite())
+                || (got - want_v).abs() <= 1e-4 * want_v.abs().max(1.0),
+            "{ctx} vertex {v}: {got} vs {want_v}"
+        );
+    }
+}
+
 #[test]
 fn bfs_matches_reference_on_all_configs() {
     let graph = test_graph();
@@ -65,6 +96,16 @@ fn bfs_matches_reference_on_all_configs() {
     for config in SchemeId::PAPER_SET {
         let (_, levels, _) = run_workload(config, &Workload::Bfs { root: 0 }, &graph);
         assert_eq!(levels, want, "config {config}");
+    }
+    // Any R-MAT seed and any root, under DVM-PE+.
+    for (case, seed, mut rng) in random_graph_cases() {
+        let graph = rmat(8, 4, RmatParams::default(), seed);
+        let root = rng.below(256) as u32 % graph.num_vertices();
+        let (result, levels, _) =
+            run_workload(SchemeId::DVM_PE_PLUS, &Workload::Bfs { root }, &graph);
+        let ctx = format!("case {case}: rmat seed {seed}, root {root}");
+        assert_eq!(levels, reference::bfs_levels(&graph, root), "{ctx}");
+        assert!(result.cycles > 0, "{ctx}");
     }
 }
 
@@ -75,6 +116,16 @@ fn pagerank_matches_reference_on_all_configs() {
     for config in SchemeId::PAPER_SET {
         let (_, _, ranks) = run_workload(config, &Workload::PageRank { iterations: 2 }, &graph);
         assert_eq!(ranks, want, "config {config} (bitwise CSR-order match)");
+    }
+    for (case, seed, _) in random_graph_cases() {
+        let graph = rmat(8, 4, RmatParams::default(), seed);
+        let workload = Workload::PageRank { iterations: 2 };
+        let (_, _, ranks) = run_workload(SchemeId::DVM_PE_PLUS, &workload, &graph);
+        assert_eq!(
+            ranks,
+            reference::pagerank(&graph, 2),
+            "case {case}: rmat seed {seed} (bitwise)"
+        );
     }
 }
 
@@ -91,14 +142,17 @@ fn sssp_matches_dijkstra_on_all_configs() {
             },
             &graph,
         );
-        for v in 0..graph.num_vertices() as usize {
-            let (got, want_v) = (dist[v], want[v]);
-            assert!(
-                (got.is_infinite() && want_v.is_infinite())
-                    || (got - want_v).abs() <= 1e-4 * want_v.abs().max(1.0),
-                "config {config} vertex {v}: {got} vs {want_v}"
-            );
-        }
+        assert_sssp_close(&dist, &want, &format!("config {config}"));
+    }
+    for (case, seed, _) in random_graph_cases() {
+        let graph = rmat(8, 4, RmatParams::default(), seed);
+        let workload = Workload::Sssp {
+            root: 0,
+            max_iterations: 256,
+        };
+        let (_, _, dist) = run_workload(SchemeId::DVM_PE_PLUS, &workload, &graph);
+        let want = reference::sssp_distances(&graph, 0);
+        assert_sssp_close(&dist, &want, &format!("case {case}: rmat seed {seed}"));
     }
 }
 
@@ -192,6 +246,28 @@ fn engines_share_work() {
     let max = *result.engine_cycles.iter().max().unwrap();
     assert!(min > 0, "every engine did work");
     assert!(max < min * 5, "load imbalance too extreme: {min}..{max}");
+}
+
+/// Timing shards across engines, but BFS levels are the same for any
+/// engine count: 16 seeded `rmat(7, 4)` graphs with 1..16 engines.
+#[test]
+fn engine_count_does_not_change_results() {
+    for case in 0..16u64 {
+        let mut rng = DetRng::new(case);
+        let seed = rng.below(1000);
+        let engines = rng.range(1, 16) as u32;
+        let graph = rmat(7, 4, RmatParams::default(), seed);
+        let accel = AccelConfig {
+            engines,
+            ..AccelConfig::default()
+        };
+        let (_, levels, _) = run_with(SchemeId::IDEAL, &Workload::Bfs { root: 0 }, &graph, &accel);
+        assert_eq!(
+            levels,
+            reference::bfs_levels(&graph, 0),
+            "case {case}: rmat seed {seed}, {engines} engines"
+        );
+    }
 }
 
 #[test]

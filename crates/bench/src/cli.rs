@@ -17,8 +17,7 @@
 //! --shards N                      fan the grid out over N worker processes
 //!                                 (a loopback farm; with --farm, the slice count)
 //! --shard I/N                     run only shard I, write a fragment, exit
-//! --shard-out PATH                fragment path (only with --shard)
-//! --merge-dir DIR                 merge fragments written by --shard workers
+//! --shard-out PATH                fragment path (required with --shard)
 //! --farm HOST:PORT                run the grid on a farmd coordinator's workers
 //! --cache-dir DIR                 on-disk dataset cache (see dvm-graph)
 //! --cache-max-bytes N             LRU-evict dataset-cache entries over N bytes
@@ -56,9 +55,6 @@ pub enum ShardRole {
     Single,
     /// Run one shard and write a fragment (no stdout contract).
     Worker(Shard),
-    /// Merge fragments other workers already wrote (e.g. on other
-    /// machines) without running anything.
-    Merge,
     /// Run the sweep on a farm and merge the fragments its workers send
     /// back: a `farmd` coordinator (`--farm host:port`), or with a bare
     /// `--shards N` a loopback farm of N local workers.
@@ -86,11 +82,8 @@ pub struct BenchArgs {
     pub shards: Option<usize>,
     /// Worker: the slice of the grid this process runs.
     pub shard: Option<Shard>,
-    /// Worker: where to write the fragment (defaults to
-    /// `results/shards/<experiment>_shard<I>of<N>.json`).
+    /// Worker: where to write the fragment (set exactly when `shard` is).
     pub shard_out: Option<PathBuf>,
-    /// Merge fragments from this directory instead of running.
-    pub merge_dir: Option<PathBuf>,
     /// Submit the sweep to this `farmd` coordinator (`host:port`)
     /// instead of running locally.
     pub farm: Option<String>,
@@ -128,7 +121,7 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
        [--jobs N] [--json PATH] [--progress] [--cache-dir DIR]
        [--cache-max-bytes N] [--cache-stats] [--report-cache DIR]
        [--report-cache-max-bytes N]
-       [--shards N | --shard I/N [--shard-out PATH] | --merge-dir DIR]
+       [--shards N | --shard I/N --shard-out PATH]
        [--farm HOST:PORT]
 
   --scale        dataset sizing (default: quick; smoke is for CI/tests)
@@ -150,8 +143,7 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
                  same LRU byte budget, for the report cache
   --shards       fan the grid out over N worker processes and merge
   --shard        run only shard I of N and write a fragment, then exit
-  --shard-out    fragment path for --shard (default results/shards/...)
-  --merge-dir    merge fragments already written by --shard workers
+  --shard-out    fragment path for --shard (required with it)
   --farm         submit the sweep to a farmd coordinator and merge the
                  fragments its workers return (with --shards N, ask for
                  N slices; default: one slice per connected worker)";
@@ -188,7 +180,6 @@ impl BenchArgs {
         let mut shards = None;
         let mut shard = None;
         let mut shard_out = None;
-        let mut merge_dir = None;
         let mut farm = None;
         let mut cache_dir: Option<PathBuf> = None;
         let mut cache_max_bytes = None;
@@ -270,9 +261,6 @@ impl BenchArgs {
                 "--shard-out" => {
                     shard_out = Some(PathBuf::from(value_of("--shard-out", &mut args)?));
                 }
-                "--merge-dir" => {
-                    merge_dir = Some(PathBuf::from(value_of("--merge-dir", &mut args)?));
-                }
                 "--farm" => {
                     let v = value_of("--farm", &mut args)?;
                     let valid = v.rsplit_once(':').is_some_and(|(host, port)| {
@@ -314,20 +302,18 @@ impl BenchArgs {
             }
         }
 
-        let roles = [shards.is_some(), shard.is_some(), merge_dir.is_some()];
-        if roles.iter().filter(|&&r| r).count() > 1 {
-            return Err(err(
-                "--shards, --shard and --merge-dir are mutually exclusive",
-            ));
+        if shards.is_some() && shard.is_some() {
+            return Err(err("--shards and --shard are mutually exclusive"));
         }
         // --farm composes with --shards (the requested slice count) but
-        // not with the other roles: a farm worker already is a --shard
-        // process, and --merge-dir never runs anything.
-        if farm.is_some() && (shard.is_some() || merge_dir.is_some()) {
-            return Err(err("--farm cannot be combined with --shard or --merge-dir"));
+        // not with --shard: a farm worker already is a --shard process.
+        if farm.is_some() && shard.is_some() {
+            return Err(err("--farm cannot be combined with --shard"));
         }
-        if shard_out.is_some() && shard.is_none() {
-            return Err(err("--shard-out only makes sense with --shard"));
+        match (shard.is_some(), shard_out.is_some()) {
+            (true, false) => return Err(err("--shard needs --shard-out PATH")),
+            (false, true) => return Err(err("--shard-out only makes sense with --shard")),
+            _ => {}
         }
         if cache_stats && cache_dir.is_none() {
             return Err(err("--cache-stats needs --cache-dir"));
@@ -362,7 +348,6 @@ impl BenchArgs {
             shards,
             shard,
             shard_out,
-            merge_dir,
             farm,
             cache,
             cache_max_bytes,
@@ -491,8 +476,6 @@ impl BenchArgs {
             ShardRole::Worker(shard)
         } else if self.farm.is_some() || self.shards.is_some() {
             ShardRole::Farm
-        } else if self.merge_dir.is_some() {
-            ShardRole::Merge
         } else {
             ShardRole::Single
         }
@@ -766,7 +749,9 @@ mod tests {
     #[test]
     fn shard_roles_parse_and_exclude_each_other() {
         assert_eq!(
-            parse(&["--shard", "1/3"]).unwrap().role(),
+            parse(&["--shard", "1/3", "--shard-out", "f.json"])
+                .unwrap()
+                .role(),
             ShardRole::Worker(Shard { index: 1, count: 3 })
         );
         // A bare --shards N is a loopback farm of N workers.
@@ -774,14 +759,15 @@ mod tests {
         assert_eq!(args.role(), ShardRole::Farm);
         assert!(args.farm.is_none());
         assert_eq!(args.shards, Some(4));
-        assert_eq!(
-            parse(&["--merge-dir", "d"]).unwrap().role(),
-            ShardRole::Merge
-        );
         assert!(parse(&["--shard", "3/3"]).is_err());
         assert!(parse(&["--shard", "x/3"]).is_err());
         assert!(parse(&["--shards", "0"]).is_err());
         assert!(parse(&["--shards", "2", "--shard", "0/2"]).is_err());
+        // A worker always names its fragment; a fragment path needs a worker.
+        assert_eq!(
+            parse(&["--shard", "0/2"]).unwrap_err().0,
+            "--shard needs --shard-out PATH"
+        );
         assert!(parse(&["--shard-out", "f.json"]).is_err());
     }
 
@@ -811,7 +797,6 @@ mod tests {
             assert!(parse(&["--farm", bad]).unwrap_err().0.contains("HOST:PORT"));
         }
         assert!(parse(&["--farm", "h:1", "--shard", "0/2"]).is_err());
-        assert!(parse(&["--farm", "h:1", "--merge-dir", "d"]).is_err());
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! The multi-process sweep runner.
 //!
-//! A bench binary invoked with `--shard I/N` is a **worker**: it runs the
-//! round-robin slice of the grid ([`SweepSpec::shard`]), writes a
-//! *fragment* — raw per-unit results keyed by global grid index — and
-//! exits. Every other multi-process run only gathers fragments:
-//! `--farm HOST:PORT` submits the grid to a running `farmd`, `--shards N`
-//! alone starts a loopback farm (an in-process `farmd` plus N worker
-//! threads that spawn this executable), and `--merge-dir DIR` reads
-//! fragments some other machine's workers already wrote. The gathered
-//! fragments are reassembled **in spec order** and formatted exactly
-//! once. Because formatting consumes the same values a single-process
-//! run would produce (integers exactly, floats through the
-//! shortest-representation render and correctly-rounded parse), the
-//! merged text table and `--json` document are byte-identical to a
-//! `--jobs 1` run by construction.
+//! A bench binary invoked with `--shard I/N --shard-out PATH` is a
+//! **worker**: it runs the round-robin slice of the grid
+//! ([`SweepSpec::shard`]), writes a *fragment* — raw per-unit results
+//! keyed by global grid index — to `PATH` and exits. Farm workers are its
+//! only callers. Every other multi-process run gathers fragments from a
+//! farm: `--farm HOST:PORT` submits the grid to a running `farmd`, and
+//! `--shards N` alone starts a loopback farm (an in-process `farmd` plus
+//! N worker threads that spawn this executable). The gathered fragments
+//! are reassembled **in spec order** and formatted exactly once. Because
+//! formatting consumes the same values a single-process run would
+//! produce (integers exactly, floats through the shortest-representation
+//! render and correctly-rounded parse), the merged text table and
+//! `--json` document are byte-identical to a `--jobs 1` run by
+//! construction.
 //!
 //! Workers' stdout is discarded (their banner lines are not part of any
 //! contract). Their stderr reaches ours through the farm: `progress:`
@@ -44,7 +44,7 @@ use dvm_core::{
 use dvm_pagetable::SizeReport;
 use dvm_sim::Histogram;
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -294,11 +294,6 @@ pub(crate) fn report_from_json(
     })
 }
 
-/// Canonical fragment file name: `<experiment>_shard<I>of<N>.json`.
-pub fn fragment_name(experiment: &str, index: usize, count: usize) -> String {
-    format!("{experiment}_shard{index}of{count}.json")
-}
-
 fn fragment_doc(
     experiment: &str,
     scale: &str,
@@ -420,16 +415,17 @@ fn write_fragment(
     total: usize,
     units: Vec<(usize, String, Json)>,
 ) {
-    let path = args.shard_out.clone().unwrap_or_else(|| {
-        PathBuf::from("results/shards").join(fragment_name(experiment, shard.index, shard.count))
-    });
+    let path = args
+        .shard_out
+        .as_deref()
+        .expect("parsing requires --shard-out with --shard");
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).expect("creating fragment directory failed");
         }
     }
     let doc = fragment_doc(experiment, args.scale.name(), shard, total, units);
-    std::fs::write(&path, format!("{doc}\n")).expect("writing shard fragment failed");
+    std::fs::write(path, format!("{doc}\n")).expect("writing shard fragment failed");
 }
 
 /// Run the sweep on a farm and return the parsed fragments its workers
@@ -522,34 +518,9 @@ fn start_loopback_farm(exe: &Path, workers: usize) -> Result<String, String> {
     Ok(addr)
 }
 
-fn read_fragment(path: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read fragment {}: {e}", path.display()))?;
-    parse(&text).map_err(|e| format!("fragment {} is not valid JSON: {e}", path.display()))
-}
-
-/// Read every `<experiment>_shard*.json` under `dir`.
-fn read_merge_dir(dir: &Path, experiment: &str) -> Result<Vec<Json>, String> {
-    let prefix = format!("{experiment}_shard");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read --merge-dir {}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".json"))
-        })
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        return Err(format!("no {prefix}*.json fragments in {}", dir.display()));
-    }
-    paths.iter().map(|path| read_fragment(path)).collect()
-}
-
 /// Run a graph sweep under this process's sharding role, returning
 /// merged results in spec order. Workers write their fragment and exit
-/// inside this call; the single/farm/merge roles return.
+/// inside this call; the single and farm roles return.
 ///
 /// # Panics
 ///
@@ -585,22 +556,12 @@ pub fn run_sharded_sweep(
             args.report_cache_stats();
             std::process::exit(0);
         }
-        ShardRole::Farm | ShardRole::Merge => {
-            let fragments = gathered_fragments(args, experiment, spec.unit_count());
+        ShardRole::Farm => {
+            let fragments = farm_fragments(args, experiment, spec.unit_count())
+                .unwrap_or_else(|e| fail(experiment, &e));
             cells_from_fragments(args, experiment, &spec, &fragments)
         }
     }
-}
-
-/// The fragments the Farm and Merge roles format: read from
-/// `--merge-dir`, or returned by a farm (`--farm`, or the loopback farm
-/// of a bare `--shards N`). Exits with a diagnostic on failure.
-fn gathered_fragments(args: &BenchArgs, experiment: &str, total_units: usize) -> Vec<Json> {
-    let fragments = match &args.merge_dir {
-        Some(dir) => read_merge_dir(dir, experiment),
-        None => farm_fragments(args, experiment, total_units),
-    };
-    fragments.unwrap_or_else(|e| fail(experiment, &e))
 }
 
 fn cells_from_fragments(
@@ -682,8 +643,8 @@ fn sweep_with_options(
 /// `labels.len()` units — under this process's sharding role, returning
 /// values in unit order. The non-sweep harnesses (Figure 10's CPU grid,
 /// the table studies, the nested-translation study) all route through
-/// here, so every binary honours `--shards`/`--shard`/`--merge-dir`/
-/// `--farm` identically.
+/// here, so every binary honours `--shards`/`--shard`/`--farm`
+/// identically.
 ///
 /// # Panics
 ///
@@ -713,8 +674,9 @@ where
             args.report_cache_stats();
             std::process::exit(0);
         }
-        ShardRole::Farm | ShardRole::Merge => {
-            let fragments = gathered_fragments(args, experiment, labels.len());
+        ShardRole::Farm => {
+            let fragments = farm_fragments(args, experiment, labels.len())
+                .unwrap_or_else(|e| fail(experiment, &e));
             grid_from_fragments(args, experiment, labels, &fragments)
         }
     }
@@ -932,6 +894,5 @@ mod tests {
         let round = parse(&doc.to_string()).unwrap();
         assert_eq!(round, doc);
         assert_eq!(round.expect_str("kind"), Ok("shard-fragment"));
-        assert_eq!(fragment_name("fig2", 1, 3), "fig2_shard1of3.json");
     }
 }

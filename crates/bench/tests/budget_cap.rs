@@ -1,9 +1,10 @@
-//! The cache byte-budget contract, end to end over real processes: two
-//! concurrent shard workers filling one budget-capped dataset-cache
-//! directory must (a) leave the directory at or under the budget, (b)
-//! never serve a torn entry (`rejected=0`), and (c) produce merged
-//! output byte-identical to an uncapped serial run — eviction races
-//! degrade to regeneration, never to wrong results.
+//! The cache byte-budget contract, end to end over real processes: the
+//! two worker processes of a `--shards 2` loopback farm filling one
+//! budget-capped dataset-cache directory must (a) leave the directory at
+//! or under the budget, (b) never serve a torn entry (`rejected=0` in
+//! every worker's relayed cache line), and (c) produce merged output
+//! byte-identical to an uncapped serial run — eviction races degrade to
+//! regeneration, never to wrong results.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -64,38 +65,36 @@ fn concurrent_workers_respect_the_budget_and_match_serial_output() {
     assert!(working_set > 1, "baseline run cached nothing");
     let budget = working_set - 1;
 
-    // Two shard workers race on one capped cache dir.
+    // The farm's two worker processes race on one capped cache dir.
     let capped_cache = dir.join("capped-cache");
-    let frags = dir.join("frags");
-    std::fs::create_dir_all(&frags).unwrap();
-    let workers: Vec<std::process::Child> = (0..2)
-        .map(|i| {
-            let out = frags.join(format!("fig2_shard{i}of2.json"));
-            Command::new(exe)
-                .args([
-                    "--scale",
-                    "smoke",
-                    "--shard",
-                    &format!("{i}/2"),
-                    "--shard-out",
-                    out.to_str().unwrap(),
-                    "--cache-dir",
-                    capped_cache.to_str().unwrap(),
-                    "--cache-max-bytes",
-                    &budget.to_string(),
-                ])
-                .stderr(std::process::Stdio::piped())
-                .spawn()
-                .expect("worker spawned")
-        })
+    let sharded_json = dir.join("sharded.json");
+    let sharded = run(
+        exe,
+        &[
+            "--scale",
+            "smoke",
+            "--jobs",
+            "1",
+            "--shards",
+            "2",
+            "--cache-dir",
+            capped_cache.to_str().unwrap(),
+            "--cache-max-bytes",
+            &budget.to_string(),
+            "--json",
+            sharded_json.to_str().unwrap(),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&sharded.stderr);
+    let cache_lines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("dataset-cache:"))
         .collect();
-    for worker in workers {
-        let output = worker.wait_with_output().expect("worker finished");
-        let stderr = String::from_utf8_lossy(&output.stderr).to_string();
-        assert!(output.status.success(), "worker failed:\n{stderr}");
+    assert_eq!(cache_lines.len(), 2, "one cache line per worker:\n{stderr}");
+    for line in cache_lines {
         assert!(
-            stderr.contains("rejected=0"),
-            "a worker loaded a torn entry: {stderr}"
+            line.contains("rejected=0"),
+            "a worker loaded a torn entry: {line}"
         );
     }
 
@@ -107,25 +106,13 @@ fn concurrent_workers_respect_the_budget_and_match_serial_output() {
     );
 
     // Merged output is byte-identical to the uncapped serial run.
-    let merged_json = dir.join("merged.json");
-    let merged = run(
-        exe,
-        &[
-            "--scale",
-            "smoke",
-            "--merge-dir",
-            frags.to_str().unwrap(),
-            "--json",
-            merged_json.to_str().unwrap(),
-        ],
-    );
     assert_eq!(
-        serial.stdout, merged.stdout,
+        serial.stdout, sharded.stdout,
         "budget-capped stdout differs from uncapped serial"
     );
     assert_eq!(
         read(&serial_json),
-        read(&merged_json),
+        read(&sharded_json),
         "budget-capped --json differs from uncapped serial"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,7 +1,6 @@
 //! The sharding contract, end to end over real binaries: an N-shard run
-//! produces byte-identical stdout and `--json` output to a serial run,
-//! whether the shards run on a loopback farm (`--shards N`) or by hand
-//! and are merged later (`--shard I/N` + `--merge-dir`).
+//! on a loopback farm (`--shards N`) produces byte-identical stdout and
+//! `--json` output to a serial run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -124,66 +123,6 @@ fn any_process_mentions(needle: &str) -> bool {
             std::fs::read(e.path().join("cmdline"))
                 .is_ok_and(|cmd| String::from_utf8_lossy(&cmd).contains(needle))
         })
-}
-
-#[test]
-fn fig2_manual_shards_merge_through_merge_dir() {
-    let exe = env!("CARGO_BIN_EXE_fig2");
-    let dir = scratch("fig2-manual");
-    let serial_json = dir.join("serial.json");
-    let serial = run(
-        exe,
-        &[
-            "--scale",
-            "smoke",
-            "--jobs",
-            "1",
-            "--json",
-            serial_json.to_str().unwrap(),
-        ],
-    );
-
-    // Run the two workers by hand (multi-machine workflow), sharing an
-    // on-disk dataset cache, then merge their fragments.
-    let frags = dir.join("frags");
-    let cache = dir.join("cache");
-    for i in 0..2 {
-        let out = frags.join(format!("fig2_shard{i}of2.json"));
-        let worker = run(
-            exe,
-            &[
-                "--scale",
-                "smoke",
-                "--shard",
-                &format!("{i}/2"),
-                "--shard-out",
-                out.to_str().unwrap(),
-                "--cache-dir",
-                cache.to_str().unwrap(),
-            ],
-        );
-        // Worker stdout carries no banner; cache stats go to stderr.
-        assert!(worker.stdout.is_empty(), "worker stdout should be empty");
-        assert!(
-            String::from_utf8_lossy(&worker.stderr).contains("dataset-cache:"),
-            "worker stderr should report cache stats"
-        );
-    }
-    let merged_json = dir.join("merged.json");
-    let merged = run(
-        exe,
-        &[
-            "--scale",
-            "smoke",
-            "--merge-dir",
-            frags.to_str().unwrap(),
-            "--json",
-            merged_json.to_str().unwrap(),
-        ],
-    );
-    assert_eq!(serial.stdout, merged.stdout);
-    assert_eq!(read(&serial_json), read(&merged_json));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -149,6 +149,7 @@ pub fn evaluate_all(config: &CpuModelConfig) -> Result<Vec<CpuRunReport>, DvmErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvm_sim::DetRng;
 
     fn quick() -> CpuModelConfig {
         CpuModelConfig {
@@ -156,6 +157,15 @@ mod tests {
             accesses: 200_000,
             machine_bytes: 2 << 30,
             ..CpuModelConfig::default()
+        }
+    }
+
+    /// The seeded cases' configuration: 40k accesses at 1/16 footprints.
+    fn small(seed: u64) -> CpuModelConfig {
+        CpuModelConfig {
+            accesses: 40_000,
+            seed,
+            ..quick()
         }
     }
 
@@ -216,5 +226,49 @@ mod tests {
         let b = evaluate(CpuWorkload::Canneal, CpuScheme::Cdvm, &cfg).unwrap();
         assert_eq!(a.translation_cycles, b.translation_cycles);
         assert_eq!(a.l1_miss_rate, b.l1_miss_rate);
+        // 12 seeded model seeds in 0..1000, THP on xsbench.
+        for case in 0..12u64 {
+            let seed = DetRng::new(case).below(1000);
+            let cfg = small(seed);
+            let a = evaluate(CpuWorkload::Xsbench, CpuScheme::Thp, &cfg).unwrap();
+            let b = evaluate(CpuWorkload::Xsbench, CpuScheme::Thp, &cfg).unwrap();
+            let ctx = format!("case {case}: seed {seed}");
+            assert_eq!(a.translation_cycles, b.translation_cycles, "{ctx}");
+            assert_eq!(a.l1_miss_rate, b.l1_miss_rate, "{ctx}");
+            assert_eq!(a.l2_miss_rate, b.l2_miss_rate, "{ctx}");
+        }
+    }
+
+    /// On identical access streams and TLB geometry, cDVM's PE walks
+    /// cost no more cycles than 4K leaf walks, and touch memory no more
+    /// often. (At these scaled footprints, under 1 GiB, the regions use
+    /// L2 PEs, whose working set can exceed the 1 KiB AVC; at published
+    /// footprints L3 PEs make the ratio unbounded, as Figure 10 shows.)
+    /// 12 seeded (seed, workload) draws, after seed 0 on the fifth
+    /// workload: a once-failing case, kept pinned.
+    #[test]
+    fn cdvm_never_loses_to_4k() {
+        let draws = (0..12u64).map(|case| {
+            let mut rng = DetRng::new(case);
+            (rng.below(1000), rng.below(5) as usize)
+        });
+        for (seed, widx) in std::iter::once((0, 4)).chain(draws) {
+            let workload = CpuWorkload::ALL[widx];
+            let cfg = small(seed);
+            let base = evaluate(workload, CpuScheme::Base4K, &cfg).unwrap();
+            let cdvm = evaluate(workload, CpuScheme::Cdvm, &cfg).unwrap();
+            assert!(
+                cdvm.translation_cycles <= base.translation_cycles,
+                "{workload} seed {seed}: cDVM {} vs 4K {} cycles",
+                cdvm.translation_cycles,
+                base.translation_cycles
+            );
+            assert!(
+                cdvm.walk_refs_per_kilo_access <= base.walk_refs_per_kilo_access,
+                "{workload} seed {seed}: walker refs cDVM {} vs 4K {}",
+                cdvm.walk_refs_per_kilo_access,
+                base.walk_refs_per_kilo_access
+            );
+        }
     }
 }

@@ -130,6 +130,20 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvm_sim::DetRng;
+    use std::collections::BTreeMap;
+
+    /// Up to `max_edges - 1` random edges over `n` vertices, with weights
+    /// from 1 to 64.
+    fn random_edges(rng: &mut DetRng, n: u32, max_edges: u64) -> Vec<Edge> {
+        (0..rng.below(max_edges))
+            .map(|_| Edge {
+                src: rng.below(u64::from(n)) as u32,
+                dst: rng.below(u64::from(n)) as u32,
+                weight: 1.0 + 63.0 * rng.unit() as f32,
+            })
+            .collect()
+    }
 
     fn diamond() -> Graph {
         Graph::from_edges(
@@ -165,6 +179,48 @@ mod tests {
         assert_eq!(g.offsets(), &[0, 2, 3, 4, 4]);
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.out_degree(3), 0);
+        // 64 seeded edge sets of 0..300 edges over 100 vertices.
+        for seed in 0..64u64 {
+            let g = Graph::from_edges(100, random_edges(&mut DetRng::new(seed), 100, 300));
+            let offsets = g.offsets();
+            assert_eq!(offsets.len(), 101, "seed {seed}");
+            assert_eq!(offsets[0], 0, "seed {seed}");
+            assert_eq!(offsets[100], g.num_edges(), "seed {seed}");
+            for (v, w) in offsets.windows(2).enumerate() {
+                assert!(w[0] <= w[1], "seed {seed} vertex {v}: {w:?}");
+            }
+        }
+    }
+
+    /// 64 seeded edge sets of 0..400 edges over 64 vertices: every
+    /// vertex's CSR out-edges are exactly the multiset of (dst, weight)
+    /// pairs the edge list gives it.
+    #[test]
+    fn csr_matches_naive_adjacency() {
+        for seed in 0..64u64 {
+            let edges = random_edges(&mut DetRng::new(seed), 64, 400);
+            let g = Graph::from_edges(64, edges.clone());
+            assert_eq!(g.num_edges(), edges.len() as u64, "seed {seed}");
+            let mut model: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
+            for e in &edges {
+                model
+                    .entry(e.src)
+                    .or_default()
+                    .push((e.dst, e.weight.to_bits()));
+            }
+            for v in 0..64u32 {
+                let mut got: Vec<(u32, u32)> = g
+                    .out_edges(v)
+                    .iter()
+                    .map(|e| (e.dst, e.weight.to_bits()))
+                    .collect();
+                got.sort_unstable();
+                let mut want = model.remove(&v).unwrap_or_default();
+                want.sort_unstable();
+                assert_eq!(got, want, "seed {seed} vertex {v}");
+                assert_eq!(g.out_degree(v), got.len() as u64, "seed {seed} vertex {v}");
+            }
+        }
     }
 
     #[test]
@@ -195,6 +251,12 @@ mod tests {
         assert_eq!(t.num_edges(), g.num_edges());
         assert_eq!(t.out_degree(3), 2);
         assert_eq!(t.out_degree(0), 0);
+        // Transposing twice is the identity: 64 seeded edge sets of
+        // 0..200 edges over 32 vertices.
+        for seed in 0..64u64 {
+            let g = Graph::from_edges(32, random_edges(&mut DetRng::new(seed), 32, 200));
+            assert_eq!(g.transpose().transpose(), g, "seed {seed}");
+        }
     }
 
     #[test]

@@ -171,12 +171,48 @@ mod tests {
         }
     }
 
+    /// 64 seeded `scale` in 4..10, edge factor in 1..8: an R-MAT graph has
+    /// exactly `2^scale` vertices and `ef * 2^scale` edges.
+    #[test]
+    fn rmat_size_contract() {
+        for case in 0..64u64 {
+            let mut rng = DetRng::new(case);
+            let (scale, ef) = (rng.range(4, 10) as u32, rng.range(1, 8) as u32);
+            let seed = rng.below(1000);
+            let g = rmat(scale, ef, RmatParams::default(), seed);
+            let ctx = format!("case {case}: rmat({scale}, {ef}, seed {seed})");
+            assert_eq!(g.num_vertices(), 1 << scale, "{ctx}");
+            assert_eq!(g.num_edges(), u64::from(ef) << scale, "{ctx}");
+        }
+    }
+
+    /// A bipartite split keeps every edge, sends every edge from a user
+    /// to an item, and rates it in `[1, 5]`: one fixed split plus 64
+    /// seeded splits of `rmat(7, 4)` into 10..200 users and 5..50 items.
     #[test]
     fn bipartite_ratings_in_range() {
         let g = rmat(8, 8, RmatParams::default(), 9);
         let b = to_bipartite(&g, 100, 20);
         for e in b.edges() {
             assert!((1.0..=5.0).contains(&e.weight));
+        }
+        for case in 0..64u64 {
+            let mut rng = DetRng::new(case);
+            let seed = rng.below(200);
+            let (users, items) = (rng.range(10, 200) as u32, rng.range(5, 50) as u32);
+            let base = rmat(7, 4, RmatParams::default(), seed);
+            let b = to_bipartite(&base, users, items);
+            let ctx = format!("case {case}: seed {seed}, {users} users, {items} items");
+            assert_eq!(b.num_vertices(), users + items, "{ctx}");
+            assert_eq!(b.num_edges(), base.num_edges(), "{ctx}");
+            for (i, e) in b.edges().iter().enumerate() {
+                assert!(e.src < users, "{ctx} edge {i}: {e:?}");
+                assert!(
+                    (users..users + items).contains(&e.dst),
+                    "{ctx} edge {i}: {e:?}"
+                );
+                assert!((1.0..=5.0).contains(&e.weight), "{ctx} edge {i}: {e:?}");
+            }
         }
     }
 }

@@ -512,6 +512,11 @@ mod tests {
             let r = b.alloc_frames(want).unwrap();
             assert_eq!(r.start % want.next_power_of_two(), 0, "count {want}");
         }
+        // Every request size up to 511 frames, each on a fresh machine.
+        for n in 1u64..512 {
+            let r = BuddyAllocator::new(2048).alloc_frames(n).unwrap();
+            assert_eq!(r.start % n.next_power_of_two(), 0, "fresh count {n}");
+        }
     }
 
     #[test]
@@ -572,6 +577,16 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 100);
+        // Every machine size up to 699 frames is fully usable one frame
+        // at a time, whatever its power-of-two decomposition.
+        for total in 1u64..700 {
+            let mut b = BuddyAllocator::new(total);
+            let mut got = 0u64;
+            while b.alloc_frames(1).is_ok() {
+                got += 1;
+            }
+            assert_eq!(got, total, "total {total}");
+        }
     }
 
     #[test]
@@ -876,5 +891,76 @@ mod tests {
         let all = b.alloc_frames_first_fit(total, 1).unwrap();
         assert_eq!(b.free_frames_count(), 0);
         b.free_frames(all);
+    }
+
+    /// 64 seeded sequences of 1..200 operations mixing buddy allocations,
+    /// whole frees and tail-half trims on a 1024-frame machine: no two
+    /// live ranges ever overlap, free-frame accounting is exact after
+    /// every operation, and freeing everything restores one maximal
+    /// block (which `randomized_churn_preserves_invariants`, with its
+    /// arbitrary subrange frees, deliberately does not assert).
+    #[test]
+    fn alloc_free_trim_mix_never_overlaps_and_fully_merges() {
+        let total = 1024u64;
+        for seed in 0..64u64 {
+            let mut rng = DetRng::new(seed);
+            let mut b = BuddyAllocator::new(total);
+            let mut live: Vec<FrameRange> = Vec::new();
+            for op in 0..rng.range(1, 200) {
+                match rng.below(3) {
+                    0 => {
+                        let n = rng.range(1, 64);
+                        if let Ok(r) = b.alloc_frames(n) {
+                            assert_eq!(r.count, n, "seed {seed} op {op}");
+                            assert!(r.end() <= total, "seed {seed} op {op}: {r:?}");
+                            for other in &live {
+                                assert!(
+                                    r.end() <= other.start || other.end() <= r.start,
+                                    "seed {seed} op {op}: {r:?} overlaps {other:?}"
+                                );
+                            }
+                            live.push(r);
+                        }
+                    }
+                    1 => {
+                        let i = rng.below(32) as usize;
+                        if !live.is_empty() {
+                            b.free_frames(live.remove(i % live.len()));
+                        }
+                    }
+                    _ => {
+                        let i = rng.below(32) as usize;
+                        if !live.is_empty() {
+                            let idx = i % live.len();
+                            let r = live[idx];
+                            if r.count >= 2 {
+                                let keep = r.count / 2;
+                                b.free_subrange(FrameRange {
+                                    start: r.start + keep,
+                                    count: r.count - keep,
+                                });
+                                live[idx] = FrameRange {
+                                    start: r.start,
+                                    count: keep,
+                                };
+                            }
+                        }
+                    }
+                }
+                let live_frames: u64 = live.iter().map(|r| r.count).sum();
+                assert_eq!(
+                    b.free_frames_count(),
+                    total - live_frames,
+                    "seed {seed} op {op}: free-frame accounting"
+                );
+            }
+            for r in live.drain(..) {
+                b.free_frames(r);
+            }
+            let stats = b.stats();
+            assert_eq!(stats.free_frames, total, "seed {seed}");
+            assert_eq!(stats.largest_free_block, total, "seed {seed}");
+            assert_eq!(stats.free_block_count, 1, "seed {seed}");
+        }
     }
 }

@@ -245,11 +245,17 @@ impl NestedWalker {
 mod tests {
     use super::*;
     use dvm_mem::{BuddyAllocator, DramConfig};
+    use dvm_sim::DetRng;
     use dvm_types::{PageSize, Permission};
 
     /// Build guest and host tables over a 32 MiB guest region at 1 GiB.
-    /// `guest_identity`/`host_identity` select PE tables vs 4K leaves.
-    fn rig(guest_identity: bool, host_identity: bool) -> (PhysMem, Dram, PageTable, PageTable) {
+    /// `guest_identity`/`host_identity` select PE tables vs leaves: 4K
+    /// leaves in the guest, `host_leaf` leaves in the host.
+    fn rig(
+        guest_identity: bool,
+        host_identity: bool,
+        host_leaf: PageSize,
+    ) -> (PhysMem, Dram, PageTable, PageTable) {
         let mut mem = PhysMem::new(1 << 19);
         let mut alloc = BuddyAllocator::new(1 << 19);
         let base = VirtAddr::new(1 << 30);
@@ -297,7 +303,7 @@ mod tests {
                     base,
                     span,
                     Permission::ReadWrite,
-                    PageSize::Size4K,
+                    host_leaf,
                 )
                 .unwrap();
         }
@@ -305,7 +311,8 @@ mod tests {
     }
 
     fn reads_for(scheme: NestedScheme, guest_identity: bool, host_identity: bool) -> u32 {
-        let (mem, mut dram, guest_pt, host_pt) = rig(guest_identity, host_identity);
+        let (mem, mut dram, guest_pt, host_pt) =
+            rig(guest_identity, host_identity, PageSize::Size4K);
         let mut walker = NestedWalker::new(scheme);
         let t = walker
             .translate(
@@ -346,7 +353,7 @@ mod tests {
 
     #[test]
     fn caching_collapses_repeat_translations() {
-        let (mem, mut dram, guest_pt, host_pt) = rig(true, true);
+        let (mem, mut dram, guest_pt, host_pt) = rig(true, true, PageSize::Size4K);
         let mut walker = NestedWalker::new(NestedScheme::FullDvm);
         let gva = VirtAddr::new((1 << 30) + 0x2000);
         let cold = walker
@@ -362,11 +369,106 @@ mod tests {
 
     #[test]
     fn unmapped_guest_address_faults() {
-        let (mem, mut dram, guest_pt, host_pt) = rig(true, true);
+        let (mem, mut dram, guest_pt, host_pt) = rig(true, true, PageSize::Size4K);
         let mut walker = NestedWalker::new(NestedScheme::FullDvm);
         let fault = walker
             .translate(VirtAddr::new(1 << 40), &guest_pt, &host_pt, &mem, &mut dram)
             .unwrap_err();
         assert_eq!(fault.kind, FaultKind::NotMapped);
+    }
+
+    const GUEST_SPAN: u64 = 16 << 20;
+
+    /// One rig per scheme, in [`NestedScheme::ALL`] order: each scheme
+    /// walks PE tables in the dimensions it devirtualizes and leaves (2M
+    /// in the host) in the others. Walks never modify a rig, so a case
+    /// only needs a fresh walker and DRAM to start cold.
+    fn scheme_rigs() -> Vec<(NestedScheme, PhysMem, PageTable, PageTable)> {
+        NestedScheme::ALL
+            .into_iter()
+            .map(|scheme| {
+                let guest = matches!(scheme, NestedScheme::GuestDvm | NestedScheme::FullDvm);
+                let host = matches!(scheme, NestedScheme::HostDvm | NestedScheme::FullDvm);
+                let (mem, _, guest_pt, host_pt) = rig(guest, host, PageSize::Size2M);
+                (scheme, mem, guest_pt, host_pt)
+            })
+            .collect()
+    }
+
+    /// 32 seeded sets of 1..40 guest addresses: the rigs are identity
+    /// end to end, so every scheme must resolve gVA -> sPA == gVA.
+    #[test]
+    fn all_schemes_agree_on_the_final_spa() {
+        let rigs = scheme_rigs();
+        for seed in 0..32u64 {
+            let mut rng = DetRng::new(seed);
+            let offsets: Vec<u64> = (0..rng.range(1, 40))
+                .map(|_| rng.below(GUEST_SPAN) & !63)
+                .collect();
+            for (scheme, mem, guest_pt, host_pt) in &rigs {
+                let mut walker = NestedWalker::new(*scheme);
+                let mut dram = Dram::new(DramConfig::default());
+                for (i, &off) in offsets.iter().enumerate() {
+                    let gva = VirtAddr::new((1 << 30) + off);
+                    let t = walker
+                        .translate(gva, guest_pt, host_pt, mem, &mut dram)
+                        .unwrap_or_else(|f| panic!("seed {seed} address {i}: {f:?}"));
+                    assert_eq!(
+                        t.spa.raw(),
+                        gva.raw(),
+                        "seed {seed} address {i}: {scheme} at {:#x}",
+                        gva.raw()
+                    );
+                }
+            }
+        }
+    }
+
+    /// 32 seeded guest addresses, each translated cold by every scheme:
+    /// 2D reads more entries than either 1D scheme, and full DVM reads
+    /// no more than either.
+    #[test]
+    fn cost_ordering_holds_pointwise() {
+        let rigs = scheme_rigs();
+        for seed in 0..32u64 {
+            let gva = VirtAddr::new((1 << 30) + (DetRng::new(seed).below(GUEST_SPAN) & !63));
+            // [TwoDimensional, HostDvm, GuestDvm, FullDvm]
+            let reads: Vec<u32> = rigs
+                .iter()
+                .map(|(scheme, mem, guest_pt, host_pt)| {
+                    let mut dram = Dram::new(DramConfig::default());
+                    NestedWalker::new(*scheme)
+                        .translate(gva, guest_pt, host_pt, mem, &mut dram)
+                        .unwrap_or_else(|f| panic!("seed {seed}: {scheme}: {f:?}"))
+                        .entry_reads
+                })
+                .collect();
+            let ctx = format!("seed {seed} at {:#x}: reads {reads:?}", gva.raw());
+            assert!(reads[0] > reads[1], "{ctx}: 2D vs host-DVM");
+            assert!(reads[0] > reads[2], "{ctx}: 2D vs guest-DVM");
+            assert!(reads[3] <= reads[1].min(reads[2]), "{ctx}: full-DVM");
+        }
+    }
+
+    /// 32 seeded runs of 1..30 full-DVM translations: the walker's
+    /// counters equal the per-translation sums.
+    #[test]
+    fn stats_accumulate_consistently() {
+        let (mem, mut dram, guest_pt, host_pt) = rig(true, true, PageSize::Size2M);
+        for seed in 0..32u64 {
+            let n = DetRng::new(seed).range(1, 30);
+            let mut walker = NestedWalker::new(NestedScheme::FullDvm);
+            let mut total_reads = 0u64;
+            for i in 0..n {
+                let gva = VirtAddr::new((1 << 30) + (i * 8192) % GUEST_SPAN);
+                let t = walker
+                    .translate(gva, &guest_pt, &host_pt, &mem, &mut dram)
+                    .unwrap_or_else(|f| panic!("seed {seed} translation {i}: {f:?}"));
+                total_reads += u64::from(t.entry_reads);
+            }
+            assert_eq!(walker.stats.translations.get(), n, "seed {seed}");
+            assert_eq!(walker.stats.entry_reads.get(), total_reads, "seed {seed}");
+            assert!(walker.stats.mem_refs.get() <= total_reads, "seed {seed}");
+        }
     }
 }

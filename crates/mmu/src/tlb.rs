@@ -604,20 +604,27 @@ mod tests {
         }
     }
 
-    /// Drive identical randomized access streams through the tick-scan
-    /// oracle and the O(1) store; every lookup result, every hit/miss,
-    /// and the surviving entry set (hence the eviction sequence) must
-    /// match at every step.
-    fn assert_equivalent(config: TlbConfig, seed: u64) {
+    /// Drive identical randomized streams of `steps` lookups and inserts
+    /// through the tick-scan oracle and the O(1) store. VPNs are drawn
+    /// from three times the TLB's capacity, so streams evict. Every
+    /// lookup result, every hit/miss, and the surviving entry set (hence
+    /// the eviction sequence) must match at every step.
+    fn assert_equivalent(config: TlbConfig, seed: u64, steps: u64) {
         use dvm_sim::DetRng;
         let mut rng = DetRng::new(seed);
         let mut oracle = ScanLruTlb::new(config);
         let mut tlb = Tlb::new(config);
-        for step in 0..20_000 {
-            let vpn = rng.skewed_below(64, 1.1);
+        let mut lookups = 0u64;
+        for step in 0..steps {
+            let vpn = rng.below(3 * u64::from(config.entries));
             if rng.chance(0.5) {
                 let va = VirtAddr::new(vpn << config.page_size.shift());
-                assert_eq!(tlb.lookup(va), oracle.lookup(va), "step {step} vpn {vpn}");
+                lookups += 1;
+                assert_eq!(
+                    tlb.lookup(va),
+                    oracle.lookup(va),
+                    "seed {seed} step {step} vpn {vpn}"
+                );
             } else {
                 let entry = TlbEntry {
                     vpn,
@@ -627,37 +634,43 @@ mod tests {
                 tlb.insert(entry);
                 oracle.insert(entry);
             }
-            assert_eq!(tlb.contents(), oracle.contents(), "step {step}");
+            assert_eq!(tlb.contents(), oracle.contents(), "seed {seed} step {step}");
         }
-        assert!(tlb.stats().total() > 0);
+        assert_eq!(tlb.stats().total(), lookups, "seed {seed}");
+    }
+
+    /// 128 seeded short streams of 1..300 operations each.
+    fn assert_equivalent_short_streams(config: TlbConfig) {
+        use dvm_sim::DetRng;
+        for seed in 0..128 {
+            let steps = DetRng::new(seed).range(1, 300);
+            assert_equivalent(config, 1000 + seed, steps);
+        }
     }
 
     #[test]
     fn full_assoc_matches_scan_lru_oracle() {
+        let small = TlbConfig {
+            entries: 16,
+            assoc: Associativity::Full,
+            page_size: PageSize::Size4K,
+        };
         for seed in 0..4 {
-            assert_equivalent(TlbConfig::paper_accelerator(PageSize::Size4K), seed);
-            assert_equivalent(
-                TlbConfig {
-                    entries: 16,
-                    assoc: Associativity::Full,
-                    page_size: PageSize::Size4K,
-                },
-                seed + 100,
-            );
+            assert_equivalent(TlbConfig::paper_accelerator(PageSize::Size4K), seed, 20_000);
+            assert_equivalent(small, seed + 100, 20_000);
         }
+        assert_equivalent_short_streams(small);
     }
 
     #[test]
     fn set_assoc_matches_scan_lru_oracle() {
+        let small = TlbConfig {
+            entries: 16,
+            assoc: Associativity::SetAssociative { ways: 4 },
+            page_size: PageSize::Size4K,
+        };
         for seed in 0..4 {
-            assert_equivalent(
-                TlbConfig {
-                    entries: 16,
-                    assoc: Associativity::SetAssociative { ways: 4 },
-                    page_size: PageSize::Size4K,
-                },
-                seed,
-            );
+            assert_equivalent(small, seed, 20_000);
             assert_equivalent(
                 TlbConfig {
                     entries: 8,
@@ -665,7 +678,9 @@ mod tests {
                     page_size: PageSize::Size2M,
                 },
                 seed + 50,
+                20_000,
             );
         }
+        assert_equivalent_short_streams(small);
     }
 }

@@ -3,7 +3,9 @@
 
 use dvm_mem::{BuddyAllocator, PhysMem};
 use dvm_pagetable::{entry_span, slot_span, PageTable, WalkOutcome};
-use dvm_types::{DvmError, PageSize, Permission, PhysAddr, VirtAddr};
+use dvm_sim::DetRng;
+use dvm_types::{DvmError, PageSize, Permission, PhysAddr, VirtAddr, PAGE_SIZE};
+use std::collections::BTreeMap;
 
 const MB: u64 = 1 << 20;
 
@@ -599,5 +601,129 @@ fn granular_rejects_bad_field_counts() {
                 bad
             )
             .is_err());
+    }
+}
+
+/// The PE-optimized table is observationally a flat map
+/// `page -> (PA, perms)`. 48 seeded sequences of 1..60 operations —
+/// identity-PE maps (plain and with 4/8/16 fields), identity leaf maps,
+/// non-identity page maps, unmaps, protections and CoW remaps over a
+/// 16 MiB arena — must agree with a `BTreeMap` model on every 61st page
+/// after each operation and on every page at the end, and tear-down
+/// must reclaim every table frame.
+#[test]
+fn table_matches_flat_reference_model_under_random_ops() {
+    const ARENA_PAGES: u64 = 4096;
+    const FRAMES: u64 = 1 << 19;
+    const PERMS: [Permission; 3] = [
+        Permission::ReadOnly,
+        Permission::ReadWrite,
+        Permission::ReadExec,
+    ];
+    let va_of = |page: u64| VirtAddr::new((1 << 30) + page * PAGE_SIZE);
+    // Non-identity targets come from their own PA arena, far from the VAs.
+    let alien_pa = |frame: u64| PhysAddr::new((1 << 26) + frame * PAGE_SIZE);
+    for seed in 0..48u64 {
+        let mut rng = DetRng::new(seed);
+        let mut mem = PhysMem::new(FRAMES);
+        let mut alloc = BuddyAllocator::new(FRAMES);
+        let mut pt = new_pt(&mut mem, &mut alloc);
+        let mut model: BTreeMap<u64, (PhysAddr, Permission)> = BTreeMap::new();
+        for op in 0..rng.range(1, 60) {
+            let page = rng.below(ARENA_PAGES);
+            let pages = rng.range(1, 256).min(ARENA_PAGES - page);
+            let perms = PERMS[rng.below(3) as usize];
+            let (va, len) = (va_of(page), pages * PAGE_SIZE);
+            match rng.below(7) {
+                kind @ 0..=2 => {
+                    let res = match kind {
+                        0 => pt.map_identity_pe(&mut mem, &mut alloc, va, len, perms),
+                        1 => {
+                            let fields = [4, 8, 16][rng.below(3) as usize];
+                            pt.map_identity_pe_granular(
+                                &mut mem, &mut alloc, va, len, perms, fields,
+                            )
+                        }
+                        _ => {
+                            let max = [PageSize::Size4K, PageSize::Size2M][rng.below(2) as usize];
+                            pt.map_identity_leaves(&mut mem, &mut alloc, va, len, perms, max)
+                        }
+                    };
+                    let free = (page..page + pages).all(|p| !model.contains_key(&p));
+                    match res {
+                        Ok(()) => {
+                            assert!(free, "seed {seed} op {op}: identity map over a busy range");
+                            for p in page..page + pages {
+                                model.insert(p, (PhysAddr::new(va_of(p).raw()), perms));
+                            }
+                        }
+                        Err(DvmError::VaRangeBusy { .. }) => {
+                            assert!(!free, "seed {seed} op {op}: busy error on a free range");
+                        }
+                        Err(e) => panic!("seed {seed} op {op}: {e}"),
+                    }
+                }
+                3 => {
+                    let pa = alien_pa(rng.below(512));
+                    match pt.map_page(&mut mem, &mut alloc, va, pa, PageSize::Size4K, perms) {
+                        Ok(()) => {
+                            assert!(
+                                model.insert(page, (pa, perms)).is_none(),
+                                "seed {seed} op {op}: page map over a mapped page"
+                            );
+                        }
+                        Err(DvmError::VaRangeBusy { .. }) => {
+                            assert!(
+                                model.contains_key(&page),
+                                "seed {seed} op {op}: busy error on an unmapped page"
+                            );
+                        }
+                        Err(e) => panic!("seed {seed} op {op}: {e}"),
+                    }
+                }
+                4 => {
+                    pt.unmap_region(&mut mem, &mut alloc, va, len)
+                        .unwrap_or_else(|e| panic!("seed {seed} op {op}: {e}"));
+                    for p in page..page + pages {
+                        model.remove(&p);
+                    }
+                }
+                5 => {
+                    pt.protect_region(&mut mem, &mut alloc, va, len, perms)
+                        .unwrap_or_else(|e| panic!("seed {seed} op {op}: {e}"));
+                    for p in page..page + pages {
+                        if let Some(entry) = model.get_mut(&p) {
+                            entry.1 = perms;
+                        }
+                    }
+                }
+                _ => {
+                    let pa = alien_pa(rng.below(512));
+                    pt.remap_page(&mut mem, &mut alloc, va, pa, perms)
+                        .unwrap_or_else(|e| panic!("seed {seed} op {op}: {e}"));
+                    model.insert(page, (pa, perms));
+                }
+            }
+            for p in (0..ARENA_PAGES).step_by(61) {
+                assert_eq!(
+                    pt.translate(&mem, va_of(p)),
+                    model.get(&p).copied(),
+                    "seed {seed} op {op}: page {p}"
+                );
+            }
+        }
+        for p in 0..ARENA_PAGES {
+            assert_eq!(
+                pt.translate(&mem, va_of(p)),
+                model.get(&p).copied(),
+                "seed {seed} final sweep: page {p}"
+            );
+        }
+        pt.free_all(&mut mem, &mut alloc);
+        assert_eq!(
+            alloc.free_frames_count(),
+            FRAMES,
+            "seed {seed}: table frames leaked"
+        );
     }
 }

@@ -6,13 +6,24 @@
 # DESIGN.md, "Sweep engine & hermetic build").
 #
 #   scripts/ci.sh
-#
-# The extended property/bench suite (proptest, criterion) lives in
-# exttests/ and is NOT run here because it needs crates.io access:
-#
-#   cargo test --manifest-path exttests/Cargo.toml
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== hermetic dependency graph"
+# Every package in the workspace's and perfbench's resolved graphs must
+# be a local path package: `cargo metadata` reports a non-null `source`
+# only for registry and git dependencies.
+for manifest in Cargo.toml perfbench/Cargo.toml; do
+    cargo metadata --offline --format-version 1 --manifest-path "$manifest" |
+        python3 -c '
+import json, sys
+external = ["%s %s (%s)" % (p["name"], p["version"], p["source"])
+            for p in json.load(sys.stdin)["packages"] if p["source"] is not None]
+if external:
+    sys.exit(sys.argv[1] + " pulls in external packages: " + ", ".join(external))
+' "$manifest"
+done
+echo "no external packages"
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
