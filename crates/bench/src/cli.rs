@@ -20,9 +20,7 @@
 //! --shard-out PATH                fragment path (required with --shard)
 //! --farm HOST:PORT                run the grid on a farmd coordinator's workers
 //! --cache-dir DIR                 on-disk dataset cache (see dvm-graph)
-//! --cache-max-bytes N             LRU-evict dataset-cache entries over N bytes
 //! --report-cache DIR              per-unit report cache shared across binaries
-//! --report-cache-max-bytes N      LRU-evict report-cache entries over N bytes
 //! --progress                      per-cell progress lines on stderr
 //! ```
 
@@ -30,7 +28,6 @@ use crate::{paper_pairs, FigureJson, ReportCache, Scale};
 use dvm_core::{SchemeId, SweepSpec};
 use dvm_graph::{Dataset, DatasetCache};
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// A worker's slice of the grid: shard `index` of `count`.
@@ -89,14 +86,8 @@ pub struct BenchArgs {
     pub farm: Option<String>,
     /// Opened dataset cache, when `--cache-dir` was given.
     pub cache: Option<DatasetCache>,
-    /// Byte budget for the dataset cache (LRU eviction), if any.
-    pub cache_max_bytes: Option<u64>,
     /// Opened per-unit report cache, when `--report-cache` was given.
     pub reports: Option<ReportCache>,
-    /// Byte budget for the report cache (LRU eviction), if any.
-    pub report_cache_max_bytes: Option<u64>,
-    /// Print the dataset cache's on-disk state and exit (no sweep).
-    pub cache_stats: bool,
     /// Emit per-cell progress on stderr.
     pub progress: bool,
 }
@@ -119,8 +110,7 @@ fn err(msg: impl Into<String>) -> CliError {
 pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,Wiki,...]
        [--schemes a,b,c]
        [--jobs N] [--json PATH] [--progress] [--cache-dir DIR]
-       [--cache-max-bytes N] [--cache-stats] [--report-cache DIR]
-       [--report-cache-max-bytes N]
+       [--report-cache DIR]
        [--shards N | --shard I/N --shard-out PATH]
        [--farm HOST:PORT]
 
@@ -133,33 +123,13 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
   --json         also write the machine-readable document to PATH
   --progress     per-cell progress lines on stderr (stdout is untouched)
   --cache-dir    load/store generated datasets in an on-disk cache
-  --cache-max-bytes
-                 evict least-recently-used dataset-cache entries once
-                 the directory exceeds N bytes (suffixes K/M/G/T)
-  --cache-stats  print the dataset cache's entries (size, age, last
-                 use, evictions), sweep orphaned tmp files, and exit
   --report-cache reuse per-unit sweep reports across figure binaries
-  --report-cache-max-bytes
-                 same LRU byte budget, for the report cache
   --shards       fan the grid out over N worker processes and merge
   --shard        run only shard I of N and write a fragment, then exit
   --shard-out    fragment path for --shard (required with it)
   --farm         submit the sweep to a farmd coordinator and merge the
                  fragments its workers return (with --shards N, ask for
                  N slices; default: one slice per connected worker)";
-
-/// Parse a byte count with an optional binary suffix: `1536`, `64K`,
-/// `512M`, `8G`, `1T` (case-insensitive).
-pub fn parse_byte_size(text: &str) -> Option<u64> {
-    let (digits, multiplier) = match text.char_indices().last()? {
-        (i, 'k' | 'K') => (&text[..i], 1u64 << 10),
-        (i, 'm' | 'M') => (&text[..i], 1 << 20),
-        (i, 'g' | 'G') => (&text[..i], 1 << 30),
-        (i, 't' | 'T') => (&text[..i], 1 << 40),
-        _ => (text, 1),
-    };
-    digits.parse::<u64>().ok()?.checked_mul(multiplier)
-}
 
 impl BenchArgs {
     /// Parse an argument list (without the program name).
@@ -182,10 +152,7 @@ impl BenchArgs {
         let mut shard_out = None;
         let mut farm = None;
         let mut cache_dir: Option<PathBuf> = None;
-        let mut cache_max_bytes = None;
         let mut report_dir: Option<PathBuf> = None;
-        let mut report_cache_max_bytes = None;
-        let mut cache_stats = false;
         let mut progress = false;
 
         let mut args = args.into_iter();
@@ -274,26 +241,9 @@ impl BenchArgs {
                 "--cache-dir" => {
                     cache_dir = Some(PathBuf::from(value_of("--cache-dir", &mut args)?));
                 }
-                "--cache-max-bytes" => {
-                    let v = value_of("--cache-max-bytes", &mut args)?;
-                    cache_max_bytes = Some(parse_byte_size(&v).ok_or_else(|| {
-                        err(format!(
-                            "--cache-max-bytes needs a byte count (e.g. 8G), got '{v}'"
-                        ))
-                    })?);
-                }
                 "--report-cache" => {
                     report_dir = Some(PathBuf::from(value_of("--report-cache", &mut args)?));
                 }
-                "--report-cache-max-bytes" => {
-                    let v = value_of("--report-cache-max-bytes", &mut args)?;
-                    report_cache_max_bytes = Some(parse_byte_size(&v).ok_or_else(|| {
-                        err(format!(
-                            "--report-cache-max-bytes needs a byte count (e.g. 8G), got '{v}'"
-                        ))
-                    })?);
-                }
-                "--cache-stats" => cache_stats = true,
                 "--progress" => progress = true,
                 "--help" | "-h" => return Err(err(USAGE)),
                 other => {
@@ -315,30 +265,20 @@ impl BenchArgs {
             (false, true) => return Err(err("--shard-out only makes sense with --shard")),
             _ => {}
         }
-        if cache_stats && cache_dir.is_none() {
-            return Err(err("--cache-stats needs --cache-dir"));
-        }
-        if cache_max_bytes.is_some() && cache_dir.is_none() {
-            return Err(err("--cache-max-bytes needs --cache-dir"));
-        }
-        if report_cache_max_bytes.is_some() && report_dir.is_none() {
-            return Err(err("--report-cache-max-bytes needs --report-cache"));
-        }
         let cache = match cache_dir {
             None => None,
             Some(dir) => Some(
-                DatasetCache::with_budget(&dir, cache_max_bytes)
+                DatasetCache::new(&dir)
                     .map_err(|e| err(format!("cannot open --cache-dir {}: {e}", dir.display())))?,
             ),
         };
-        let reports = match report_dir {
-            None => None,
-            Some(dir) => Some(
-                ReportCache::with_budget(&dir, report_cache_max_bytes).map_err(|e| {
+        let reports =
+            match report_dir {
+                None => None,
+                Some(dir) => Some(ReportCache::new(&dir).map_err(|e| {
                     err(format!("cannot open --report-cache {}: {e}", dir.display()))
-                })?,
-            ),
-        };
+                })?),
+            };
         Ok(Self {
             scale,
             datasets,
@@ -350,26 +290,16 @@ impl BenchArgs {
             shard_out,
             farm,
             cache,
-            cache_max_bytes,
             reports,
-            report_cache_max_bytes,
-            cache_stats,
             progress,
         })
     }
 
     /// Parse `std::env::args`; prints usage and exits on `--help` (0) or
-    /// bad input (2). `--cache-stats` prints the dataset cache's on-disk
-    /// state and exits 0 without running anything.
+    /// bad input (2).
     pub fn parse() -> Self {
         match Self::try_parse(std::env::args().skip(1)) {
-            Ok(args) => {
-                if args.cache_stats {
-                    print!("{}", args.cache_stats_text());
-                    std::process::exit(0);
-                }
-                args
-            }
+            Ok(args) => args,
             Err(CliError(msg)) if msg == USAGE => {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
@@ -379,95 +309,6 @@ impl BenchArgs {
                 std::process::exit(2);
             }
         }
-    }
-
-    /// The `--cache-stats` report: one line per wanted dataset at the
-    /// selected scale — present entries with their size on disk, absent
-    /// ones marked — plus hit/miss counters and a byte total.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `--cache-dir` was given (parsing enforces this for
-    /// `--cache-stats`).
-    pub fn cache_stats_text(&self) -> String {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("--cache-stats requires --cache-dir");
-        let mut out = format!(
-            "dataset cache {} (scale {}):\n",
-            cache.dir().display(),
-            self.scale.name()
-        );
-        let mut present = 0usize;
-        let mut total_bytes = 0u64;
-        for dataset in Dataset::ALL {
-            if !self.wants(dataset) {
-                continue;
-            }
-            let divisor = self.scale.divisor(dataset);
-            let path = cache.entry_path(dataset, divisor);
-            match std::fs::metadata(&path) {
-                Ok(meta) => {
-                    present += 1;
-                    total_bytes += meta.len();
-                    let _ = writeln!(
-                        out,
-                        "  {:<5} div{:<4} {:>12} bytes  {}",
-                        dataset.short_name(),
-                        divisor,
-                        meta.len(),
-                        path.file_name().unwrap_or_default().to_string_lossy()
-                    );
-                }
-                Err(_) => {
-                    let _ = writeln!(
-                        out,
-                        "  {:<5} div{:<4} {:>12}        {}",
-                        dataset.short_name(),
-                        divisor,
-                        "absent",
-                        path.file_name().unwrap_or_default().to_string_lossy()
-                    );
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  {present} present, {total_bytes} bytes total; this process: hits={} misses={}",
-            cache.hits(),
-            cache.misses()
-        );
-        // The budget view covers *everything* on disk (all scales and
-        // filters), with per-entry size/age/last-use — and sweeps tmp
-        // files orphaned by crashed writers of earlier runs.
-        let budget = cache.budget();
-        let swept = budget.sweep_orphans();
-        let entries = budget.entries();
-        let _ = writeln!(
-            out,
-            "on-disk entries ({}, most recently used first):",
-            match budget.max_bytes() {
-                Some(max) => format!("budget {max} bytes, {} used", budget.used_bytes()),
-                None => "no byte budget".to_string(),
-            }
-        );
-        for entry in entries {
-            let last_use = entry
-                .last_use_secs
-                .map_or("never".to_string(), |s| format!("{s}s ago"));
-            let _ = writeln!(
-                out,
-                "  {:>12} bytes  age {:>6}s  last-use {:>10}  {}",
-                entry.bytes, entry.age_secs, last_use, entry.name
-            );
-        }
-        let _ = writeln!(
-            out,
-            "cumulative evictions: {}; orphaned tmp files swept: {swept}",
-            budget.evictions_total()
-        );
-        out
     }
 
     /// This process's sharding role.
@@ -625,11 +466,10 @@ impl BenchArgs {
         if let Some(cache) = &self.cache {
             if cache.hits() + cache.misses() > 0 {
                 eprintln!(
-                    "dataset-cache: hits={} misses={} rejected={} evicted={} dir={}",
+                    "dataset-cache: hits={} misses={} rejected={} dir={}",
                     cache.hits(),
                     cache.misses(),
                     cache.rejected(),
-                    cache.evictions(),
                     cache.dir().display()
                 );
             }
@@ -637,10 +477,9 @@ impl BenchArgs {
         if let Some(reports) = &self.reports {
             if reports.hits() + reports.misses() > 0 {
                 eprintln!(
-                    "report-cache: hits={} misses={} evicted={} dir={}",
+                    "report-cache: hits={} misses={} dir={}",
                     reports.hits(),
                     reports.misses(),
-                    reports.evictions(),
                     reports.dir().display()
                 );
             }
@@ -669,18 +508,10 @@ impl BenchArgs {
         if let Some(cache) = &self.cache {
             argv.push("--cache-dir".to_string());
             argv.push(cache.dir().display().to_string());
-            if let Some(max) = self.cache_max_bytes {
-                argv.push("--cache-max-bytes".to_string());
-                argv.push(max.to_string());
-            }
         }
         if let Some(reports) = &self.reports {
             argv.push("--report-cache".to_string());
             argv.push(reports.dir().display().to_string());
-            if let Some(max) = self.report_cache_max_bytes {
-                argv.push("--report-cache-max-bytes".to_string());
-                argv.push(max.to_string());
-            }
         }
         if self.progress {
             argv.push("--progress".to_string());
@@ -841,110 +672,6 @@ mod tests {
             .0
             .contains("unknown argument '--lanes'"));
         assert!(parse(&["--frobnicate"]).unwrap_err().0.contains("usage:"));
-    }
-
-    #[test]
-    fn cache_stats_needs_the_cache_dir() {
-        assert!(parse(&["--cache-stats"])
-            .unwrap_err()
-            .0
-            .contains("--cache-dir"));
-        let dir = std::env::temp_dir().join(format!("dvm-cli-stats-{}", std::process::id()));
-        let args = parse(&["--cache-stats", "--cache-dir", dir.to_str().unwrap()]).unwrap();
-        assert!(args.cache_stats);
-        let text = args.cache_stats_text();
-        assert!(text.contains("absent") && text.contains("bytes total"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn byte_sizes_parse_with_binary_suffixes() {
-        assert_eq!(parse_byte_size("1536"), Some(1536));
-        assert_eq!(parse_byte_size("64K"), Some(64 << 10));
-        assert_eq!(parse_byte_size("512m"), Some(512 << 20));
-        assert_eq!(parse_byte_size("8G"), Some(8u64 << 30));
-        assert_eq!(parse_byte_size("1t"), Some(1u64 << 40));
-        assert_eq!(parse_byte_size(""), None);
-        assert_eq!(parse_byte_size("G"), None);
-        assert_eq!(parse_byte_size("12x"), None);
-        assert_eq!(parse_byte_size("99999999999999999999T"), None);
-    }
-
-    #[test]
-    fn budget_flags_need_their_cache_and_reach_the_caches() {
-        assert!(parse(&["--cache-max-bytes", "1G"])
-            .unwrap_err()
-            .0
-            .contains("--cache-dir"));
-        assert!(parse(&["--report-cache-max-bytes", "1G"])
-            .unwrap_err()
-            .0
-            .contains("--report-cache"));
-        assert!(parse(&["--cache-dir", "d", "--cache-max-bytes", "huge"])
-            .unwrap_err()
-            .0
-            .contains("byte count"));
-
-        let dir = std::env::temp_dir().join(format!("dvm-cli-budget-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache_dir = dir.join("cache");
-        let report_dir = dir.join("reports");
-        let args = parse(&[
-            "--cache-dir",
-            cache_dir.to_str().unwrap(),
-            "--cache-max-bytes",
-            "2G",
-            "--report-cache",
-            report_dir.to_str().unwrap(),
-            "--report-cache-max-bytes",
-            "64M",
-        ])
-        .unwrap();
-        assert_eq!(args.cache_max_bytes, Some(2 << 30));
-        assert_eq!(
-            args.cache.as_ref().unwrap().budget().max_bytes(),
-            Some(2 << 30)
-        );
-        assert_eq!(
-            args.reports.as_ref().unwrap().budget().max_bytes(),
-            Some(64 << 20)
-        );
-        // Workers must enforce the same budgets on the shared dirs.
-        let worker = BenchArgs::try_parse(slice_argv(&args, 0, 2)).unwrap();
-        assert_eq!(worker.cache_max_bytes, Some(2 << 30));
-        assert_eq!(worker.report_cache_max_bytes, Some(64 << 20));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_stats_dump_lists_entries_and_evictions() {
-        let dir = std::env::temp_dir().join(format!("dvm-cli-statsdump-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let args = parse(&[
-            "--scale",
-            "smoke",
-            "--cache-stats",
-            "--cache-dir",
-            dir.to_str().unwrap(),
-        ])
-        .unwrap();
-        let cache = args.cache.as_ref().unwrap();
-        cache.get_or_generate(Dataset::Flickr, Scale::Smoke.divisor(Dataset::Flickr));
-        let text = args.cache_stats_text();
-        assert!(
-            text.contains("on-disk entries"),
-            "missing entry dump:\n{text}"
-        );
-        assert!(text.contains("FR_div"), "missing per-entry line:\n{text}");
-        assert!(
-            text.contains("last-use"),
-            "missing last-use column:\n{text}"
-        );
-        assert!(
-            text.contains("cumulative evictions: 0; orphaned tmp files swept: 0"),
-            "missing eviction/orphan summary:\n{text}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,20 +23,25 @@
 //! readable slug at [`MAX_SLUG_CHARS`] — the FNV-1a hash plus the
 //! in-entry cross-check carry identity — so an arbitrarily long
 //! parameter set can never overflow the 255-byte file-name limit and
-//! silently disable the cache. Writes go through a temp-file rename
-//! with a per-process *and* per-call tmp name
-//! ([`dvm_graph::unique_tmp_path`]), so neither shard workers nor
-//! `--jobs N` threads racing on one entry ever publish a torn file.
-//! `--report-cache-max-bytes` bounds the directory through the shared
-//! [`CacheBudget`] LRU layer; an evicted entry re-simulates on its next
-//! request, so output bytes never change. The cache is meant to live
-//! for one `reproduce_all.sh` invocation (the script clears it up
-//! front): entries do not try to survive simulator changes.
+//! silently disable the cache.
+//!
+//! Each entry also stores an FNV-1a checksum of the report's canonical
+//! [`report_json`] text. A load re-serializes the parsed report and
+//! compares: by the round-trip contract an intact entry matches exactly,
+//! and a damaged one (a flipped digit still parses) is a miss that
+//! simulates the unit again. Writes go through
+//! [`dvm_graph::write_atomic`], so neither shard workers nor `--jobs N`
+//! threads racing on one entry ever publish a torn file, and opening
+//! the directory sweeps tmp files that killed writers left behind
+//! ([`dvm_graph::open_dir`]). The directory is unbounded: the cache is
+//! meant to live for one `reproduce_all.sh` invocation (the script
+//! clears it up front, and a whole quick grid of reports is tens of
+//! KB), and entries do not try to survive simulator changes.
 
 use crate::shard::report_from_json;
 use crate::{parse, report_json, validate_header, Json, JsonDoc};
 use dvm_core::{GraphRunReport, ReportStore, UnitKey};
-use dvm_graph::{unique_tmp_path, CacheBudget};
+use dvm_graph::{fnv1a, open_dir, write_atomic};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,46 +54,25 @@ pub const MAX_SLUG_CHARS: usize = 160;
 #[derive(Debug)]
 pub struct ReportCache {
     dir: PathBuf,
-    budget: CacheBudget,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ReportCache {
-    /// Open (creating if needed) an unbounded report cache in `dir`.
+    /// Open (creating if needed) a report cache in `dir`, sweeping the
+    /// tmp files that killed writers left behind.
     ///
     /// # Errors
     ///
     /// Propagates the directory-creation failure.
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        Self::with_budget(dir, None)
-    }
-
-    /// Open a report cache bounded to `max_bytes` of entries (`None` =
-    /// unbounded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the directory-creation failure.
-    pub fn with_budget(dir: impl Into<PathBuf>, max_bytes: Option<u64>) -> std::io::Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        open_dir(&dir)?;
         Ok(Self {
-            budget: CacheBudget::new(dir.clone(), ".json", max_bytes),
             dir,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
-    }
-
-    /// The eviction layer (always present; inert without a budget).
-    pub fn budget(&self) -> &CacheBudget {
-        &self.budget
-    }
-
-    /// Entries this process evicted to stay under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.budget.evictions()
     }
 
     /// The backing directory.
@@ -101,7 +85,8 @@ impl ReportCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Units that had to be simulated (no entry, or a stale/foreign one).
+    /// Units that had to be simulated (no entry, or a stale, foreign or
+    /// damaged one).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -129,11 +114,7 @@ impl ReportCache {
     /// form can never exceed the 255-byte file-name limit (which would
     /// make every store fail silently and the cache never hit).
     fn file_name_for(text: &str) -> String {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in text.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let hash = fnv1a(text.as_bytes());
         let slug: String = text
             .chars()
             .take(MAX_SLUG_CHARS)
@@ -145,6 +126,13 @@ impl ReportCache {
     /// Where the entry for `key` lives.
     pub fn entry_path(&self, key: &UnitKey<'_>) -> PathBuf {
         self.dir.join(Self::file_name_for(&Self::key_string(key)))
+    }
+
+    /// The integrity check stored with an entry: FNV-1a of the report's
+    /// canonical serialization, as hex (a `u64` does not survive a JSON
+    /// number).
+    fn checksum(report: &GraphRunReport) -> String {
+        format!("{:016x}", fnv1a(report_json(report).to_string().as_bytes()))
     }
 }
 
@@ -160,22 +148,15 @@ impl ReportStore for ReportCache {
             {
                 return None;
             }
-            report_from_json(doc.get("report")?, key.mmu, key.workload).ok()
+            let report = report_from_json(doc.get("report")?, key.mmu, key.workload).ok()?;
+            (doc.expect_str("checksum") == Ok(&Self::checksum(&report))).then_some(report)
         })();
-        match &loaded {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let (Some(name), Ok(meta)) = (
-                    path.file_name().and_then(|n| n.to_str()),
-                    std::fs::metadata(&path),
-                ) {
-                    self.budget.record_access(name, meta.len());
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
+        let counter = if loaded.is_some() {
+            &self.hits
+        } else {
+            &self.misses
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         loaded
     }
 
@@ -183,25 +164,12 @@ impl ReportStore for ReportCache {
         let doc = JsonDoc::new("report-cache")
             .field("kind", Json::Str("unit-report".to_string()))
             .field("key", Json::Str(Self::key_string(key)))
+            .field("checksum", Json::Str(Self::checksum(report)))
             .field("report", report_json(report))
             .build();
-        let path = self.entry_path(key);
-        let text = format!("{doc}\n");
-        // Write-then-rename so a concurrently reading worker never sees
-        // a torn entry; the tmp name is unique per process and per call
-        // so racing writers never share one, and a lost rename race
-        // overwrites with identical content. Any failure removes the
-        // tmp file instead of leaking it.
-        let tmp = unique_tmp_path(&path);
-        let written = std::fs::write(&tmp, &text).and_then(|()| std::fs::rename(&tmp, &path));
-        if written.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-            self.budget.record_access(name, text.len() as u64);
-        }
-        self.budget.enforce();
+        // A lost rename race overwrites with identical content, and a
+        // failed store is only a future miss.
+        let _ = write_atomic(&self.entry_path(key), format!("{doc}\n").as_bytes());
     }
 }
 
@@ -212,6 +180,7 @@ mod tests {
         run_graph_experiment, Dataset, ExperimentConfig, SchemeId, SweepRunner, SweepSpec, Workload,
     };
     use dvm_graph::rmat;
+    use dvm_sim::DetRng;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -314,8 +283,13 @@ mod tests {
     }
 
     #[test]
-    fn budget_bounds_the_directory_and_evicts_lru_reports() {
-        let dir = tmp_dir("budget");
+    fn damaged_entries_miss_or_load_identically() {
+        // Regression test: entries had no integrity check, so changing
+        // one digit of "cycles" loaded a report with the wrong cycle
+        // count. Every damaged entry must now be a miss or a report that
+        // serializes identically, never a panic.
+        let dir = tmp_dir("damage");
+        let cache = ReportCache::new(&dir).unwrap();
         let graph = rmat(10, 4, dvm_graph::RmatParams::default(), 3);
         let workload = Workload::Bfs { root: 0 };
         let report = run_graph_experiment(
@@ -324,26 +298,49 @@ mod tests {
             &ExperimentConfig::for_mmu(SchemeId::IDEAL),
         )
         .unwrap();
-        let key = |divisor| UnitKey {
+        let key = UnitKey {
             workload: &workload,
             dataset: Dataset::Flickr,
-            divisor,
+            divisor: 64,
             mmu: SchemeId::IDEAL,
         };
-        // Same report, same-length keys: every entry has the same size.
-        let sizer = ReportCache::new(&dir).unwrap();
-        sizer.store(&key(64), &report);
-        let entry_bytes = std::fs::metadata(sizer.entry_path(&key(64))).unwrap().len();
+        cache.store(&key, &report);
+        let path = cache.entry_path(&key);
+        let entry = std::fs::read(&path).unwrap();
+        let expected = report_json(&report).to_string();
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            cache.load(&key)
+        };
 
-        let cache = ReportCache::with_budget(&dir, Some(2 * entry_bytes)).unwrap();
-        cache.store(&key(65), &report);
-        cache.store(&key(66), &report);
-        assert_eq!(cache.evictions(), 1, "third entry evicts the LRU one");
-        assert!(cache.budget().used_bytes() <= 2 * entry_bytes);
-        // The oldest key (64) was evicted; the recent two still hit.
-        assert!(cache.load(&key(64)).is_none());
-        assert!(cache.load(&key(65)).is_some());
-        assert!(cache.load(&key(66)).is_some());
+        // One digit of "cycles" changed: still valid JSON, wrong value.
+        let field = entry
+            .windows(8)
+            .position(|w| w == b"\"cycles\"")
+            .expect("entry has a cycles field");
+        let digit = field + entry[field..].iter().position(u8::is_ascii_digit).unwrap();
+        let mut corrupt = entry.clone();
+        corrupt[digit] = if corrupt[digit] == b'1' { b'2' } else { b'1' };
+        assert!(load(&corrupt).is_none(), "a changed cycles digit loaded");
+
+        for case in 0..200 {
+            let mut rng = DetRng::new(case);
+            let mut corrupt = entry.clone();
+            let at = rng.below(entry.len() as u64) as usize;
+            corrupt[at] ^= 1 + rng.below(255) as u8;
+            let len = rng.below(entry.len() as u64) as usize;
+            for (bytes, what) in [(&corrupt[..], "byte flip"), (&entry[..len], "truncation")] {
+                if let Some(loaded) = load(bytes) {
+                    assert_eq!(
+                        report_json(&loaded).to_string(),
+                        expected,
+                        "seed {case}: {what} (byte {at}, length {len}) loaded a different report"
+                    );
+                }
+            }
+        }
+        // The intact entry still loads.
+        assert!(load(&entry).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

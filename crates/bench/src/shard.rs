@@ -22,11 +22,10 @@
 //! passes through verbatim.
 //!
 //! Workers inherit the submitting process's cache flags verbatim (see
-//! [`BenchArgs::farm_argv`]), including `--cache-max-bytes` and
-//! `--report-cache-max-bytes`: every worker enforces the same LRU byte
-//! budget on the shared cache directories. Eviction is safe under this
-//! concurrency because a worker that loses an entry mid-sweep just
-//! regenerates it — budgets never change sweep output bytes.
+//! [`BenchArgs::farm_argv`]), so they share its cache directories.
+//! Racing on one entry is safe: stores publish through an atomic rename,
+//! and a damaged entry fails its checksum and is simply rebuilt — caches
+//! never change sweep output bytes.
 //!
 //! Reconstructed [`GraphRunReport`]s carry only the fields
 //! [`report_json`] serializes; `engine_cycles`, `walker_cycles` and the

@@ -82,12 +82,17 @@ fn fig2_sharded_runs_match_serial_byte_for_byte() {
         );
         // Each slice reports its own cache counters (reproduce_all.sh
         // sums them), and the per-slice progress streams arrive as one
-        // ordered global count over the whole grid.
-        let cache_lines = stderr
+        // ordered global count over the whole grid. The first run's
+        // workers race to fill the empty shared cache dir; none may ever
+        // load a torn entry.
+        let cache_lines: Vec<&str> = stderr
             .lines()
             .filter(|l| l.starts_with("dataset-cache:"))
-            .count();
-        assert_eq!(cache_lines, shards, "stderr:\n{stderr}");
+            .collect();
+        assert_eq!(cache_lines.len(), shards, "stderr:\n{stderr}");
+        for line in cache_lines {
+            assert!(line.contains("rejected=0"), "torn entry loaded: {line}");
+        }
         let counts: Vec<&str> = stderr
             .lines()
             .filter_map(|l| l.strip_prefix("progress: ")?.split(' ').next())

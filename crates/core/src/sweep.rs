@@ -19,9 +19,9 @@
 //!
 //! Both optional stores ([`SweepRunner::cache`] for datasets,
 //! [`SweepRunner::report_store`] for finished cell reports) are
-//! best-effort: a miss — including one manufactured by LRU byte-budget
-//! eviction while the sweep is running — falls back to regeneration, so
-//! caching can change only wall-clock time, never results.
+//! best-effort: a miss — including a damaged entry that fails its
+//! checksum — falls back to regeneration, so caching can change only
+//! wall-clock time, never results.
 
 use crate::experiment::{run_graph_experiment, ExperimentConfig, GraphRunReport};
 use dvm_accel::Workload;

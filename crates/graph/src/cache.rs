@@ -9,45 +9,119 @@
 //!
 //! The format is deliberately boring: a fixed little-endian header
 //! carrying the key and an FNV-1a checksum, followed by the raw edge
-//! list. A loaded graph is rebuilt through [`Graph::from_edges`], the
-//! same constructor the generators use, so a cache hit is structurally
-//! identical (`==`) to regeneration. Every validation failure — short
-//! file, bad magic, version or key mismatch, checksum mismatch, edge out
-//! of range — falls back to regeneration and rewrites the entry, so a
-//! corrupt or stale cache can slow a run down but never change its
-//! output.
+//! list. The checksum covers every header field after the magic as well
+//! as the payload, so a flipped vertex or edge count is rejected like a
+//! flipped edge. A loaded graph is rebuilt through [`Graph::from_edges`],
+//! the same constructor the generators use, so a cache hit is
+//! structurally identical (`==`) to regeneration. Every validation
+//! failure — short file, bad magic, version or key mismatch, checksum
+//! mismatch, edge out of range — falls back to regeneration and rewrites
+//! the entry, so a corrupt or stale cache can slow a run down but never
+//! change its output.
 //!
-//! Writes go through a temp file plus atomic rename, which makes
-//! concurrent writers filling the same cache directory safe: the temp
-//! name is unique per process *and* per call ([`unique_tmp_path`]), so
-//! neither shard workers nor `--jobs N` threads ever share a tmp file,
-//! the last renamer wins with a complete file, and readers never
-//! observe a partial entry. A failed store removes its tmp file.
+//! Writes go through [`write_atomic`]: a temp file plus atomic rename,
+//! which makes concurrent writers filling the same cache directory safe.
+//! The temp name is unique per process *and* per call, so neither shard
+//! workers nor `--jobs N` threads ever share a tmp file, the last renamer
+//! wins with a complete file, and readers never observe a partial entry.
+//! A failed store removes its tmp file; a writer killed mid-store leaves
+//! one behind, and [`open_dir`] sweeps it away the next time a cache
+//! opens the directory. These helpers serve the report cache in
+//! `dvm-bench` too.
 //!
-//! [`DatasetCache::with_budget`] additionally bounds the directory to a
-//! byte budget: every hit and store is recorded in a [`CacheBudget`]
-//! index, and after each store the least-recently-used entries are
-//! evicted until the directory fits. An evicted entry simply misses and
-//! regenerates on its next use, so a budgeted run's output is
-//! byte-identical to an unbounded one.
+//! Neither cache bounds its directory: every figure binary reads the
+//! same datasets in the same order, a cyclic pattern under which an LRU
+//! budget below the working set misses on every access.
 
-use crate::budget::{unique_tmp_path, CacheBudget};
 use crate::csr::{Edge, Graph};
 use crate::datasets::Dataset;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::SystemTime;
 
-/// Bump whenever the on-disk layout (header or payload) changes; older
-/// entries are then treated as misses and rewritten.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+/// Bump whenever the on-disk layout or checksum coverage changes; older
+/// entries then live under other file names and are never looked up.
+/// Version 2 extended the checksum from the payload to the header.
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// `b"DVMGCSR\0"` — identifies a cache entry regardless of version.
 const MAGIC: [u8; 8] = *b"DVMGCSR\0";
 
 /// Header: magic + version + seed + divisor + num_vertices + num_edges +
-/// payload checksum.
+/// checksum.
 const HEADER_BYTES: usize = 8 + 4 + 8 + 4 + 4 + 8 + 8;
+
+/// Where the checksum sits: it covers `bytes[8..CHECKSUM_AT]` (every
+/// header field after the magic) and then the payload.
+const CHECKSUM_AT: usize = HEADER_BYTES - 8;
+
+/// A `*.tmp*` file is an orphan only if its mtime is at least this many
+/// seconds old when a cache opens the directory — a live writer in
+/// another process keeps its tmp's mtime fresh while `fs::write` runs.
+const ORPHAN_GRACE_SECS: u64 = 60;
+
+/// A collision-free temp path next to `path`: unique per process (pid)
+/// *and* per call (atomic counter), so two threads of one `--jobs N`
+/// process storing the same entry never interleave writes on one tmp
+/// file and rename a torn result into place.
+fn unique_tmp_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let token = NEXT.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp{}-{token}", std::process::id()))
+}
+
+/// Publish `bytes` at `path` through a unique temp file plus an atomic
+/// rename, so readers see either the old entry or the whole new one.
+/// A failed write or rename removes its tmp file instead of leaking it.
+///
+/// # Errors
+///
+/// Propagates the write or rename failure.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = unique_tmp_path(path);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Create `dir` if needed and remove the `*.tmp*` files that writers
+/// killed mid-store left in it (older than a grace period, so a live
+/// writer's in-flight tmp survives). Returns how many were removed.
+///
+/// # Errors
+///
+/// Propagates the `create_dir_all` failure.
+pub fn open_dir(dir: &Path) -> io::Result<usize> {
+    std::fs::create_dir_all(dir)?;
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Ok(0);
+    };
+    let now = SystemTime::now();
+    let mut removed = 0;
+    for entry in entries.filter_map(Result::ok) {
+        let path = entry.path();
+        let is_tmp = path
+            .extension()
+            .and_then(|e| e.to_str())
+            .is_some_and(|e| e.starts_with("tmp"));
+        if !is_tmp {
+            continue;
+        }
+        let stale = entry
+            .metadata()
+            .and_then(|m| m.modified())
+            .ok()
+            .and_then(|mtime| now.duration_since(mtime).ok())
+            .is_some_and(|age| age.as_secs() >= ORPHAN_GRACE_SECS);
+        if stale && std::fs::remove_file(&path).is_ok() {
+            removed += 1;
+        }
+    }
+    Ok(removed)
+}
 
 /// Bytes per serialized edge: src u32, dst u32, weight f32 bits.
 const EDGE_BYTES: usize = 12;
@@ -67,49 +141,27 @@ const EDGE_BYTES: usize = 12;
 #[derive(Debug)]
 pub struct DatasetCache {
     dir: PathBuf,
-    budget: CacheBudget,
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
 }
 
 impl DatasetCache {
-    /// Open (creating if needed) an unbounded cache directory.
+    /// Open (creating if needed) a cache directory, sweeping the tmp
+    /// files that killed writers left behind.
     ///
     /// # Errors
     ///
     /// Propagates the `create_dir_all` failure.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::with_budget(dir, None)
-    }
-
-    /// Open a cache directory bounded to `max_bytes` of entries
-    /// (`None` = unbounded). Accesses are recorded either way, so the
-    /// LRU history is warm when a budget is first applied.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `create_dir_all` failure.
-    pub fn with_budget(dir: impl Into<PathBuf>, max_bytes: Option<u64>) -> io::Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        open_dir(&dir)?;
         Ok(Self {
-            budget: CacheBudget::new(dir.clone(), ".csr", max_bytes),
             dir,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         })
-    }
-
-    /// The eviction layer (always present; inert without a budget).
-    pub fn budget(&self) -> &CacheBudget {
-        &self.budget
-    }
-
-    /// Entries this process evicted to stay under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.budget.evictions()
     }
 
     /// The cache directory.
@@ -153,9 +205,6 @@ impl DatasetCache {
             Ok(bytes) => match decode(&bytes, dataset.seed(), divisor) {
                 Some(graph) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                        self.budget.record_access(name, bytes.len() as u64);
-                    }
                     return graph;
                 }
                 None => {
@@ -169,7 +218,7 @@ impl DatasetCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let graph = dataset.generate(divisor);
-        if let Err(e) = self.store(&path, dataset.seed(), divisor, &graph) {
+        if let Err(e) = write_atomic(&path, &encode(dataset.seed(), divisor, &graph)) {
             eprintln!(
                 "dataset-cache: failed to store {} ({e}); continuing uncached",
                 path.display()
@@ -177,37 +226,22 @@ impl DatasetCache {
         }
         graph
     }
+}
 
-    /// Serialize `graph` to `path` via a temp file + atomic rename,
-    /// then record the entry and evict over-budget LRU entries.
-    fn store(&self, path: &Path, seed: u64, divisor: u32, graph: &Graph) -> io::Result<()> {
-        let payload = encode_payload(graph);
-        let mut bytes = Vec::with_capacity(HEADER_BYTES + payload.len());
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&seed.to_le_bytes());
-        bytes.extend_from_slice(&divisor.to_le_bytes());
-        bytes.extend_from_slice(&graph.num_vertices().to_le_bytes());
-        bytes.extend_from_slice(&graph.num_edges().to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        // Temp name unique per process *and* per call, so concurrent
-        // writers (shard processes or --jobs threads racing on the same
-        // entry) never interleave writes; rename is atomic on POSIX.
-        let tmp = unique_tmp_path(path);
-        let written = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, path));
-        if written.is_err() {
-            // Never leak a tmp file: a partial write or failed rename
-            // leaves it behind otherwise.
-            let _ = std::fs::remove_file(&tmp);
-            return written;
-        }
-        if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-            self.budget.record_access(name, bytes.len() as u64);
-        }
-        self.budget.enforce();
-        Ok(())
-    }
+/// A whole cache entry for `graph`: header, then the edge payload.
+fn encode(seed: u64, divisor: u32, graph: &Graph) -> Vec<u8> {
+    let payload = encode_payload(graph);
+    let mut bytes = Vec::with_capacity(HEADER_BYTES + payload.len());
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&seed.to_le_bytes());
+    bytes.extend_from_slice(&divisor.to_le_bytes());
+    bytes.extend_from_slice(&graph.num_vertices().to_le_bytes());
+    bytes.extend_from_slice(&graph.num_edges().to_le_bytes());
+    let checksum = fnv1a_extend(fnv1a(&bytes[8..]), &payload);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes
 }
 
 /// The edge array as raw little-endian bytes, in CSR order.
@@ -233,10 +267,10 @@ fn decode(bytes: &[u8], want_seed: u64, want_divisor: u32) -> Option<Graph> {
     }
     let num_vertices = u32_at(24);
     let num_edges = u64_at(28);
-    let checksum = u64_at(36);
+    let checksum = u64_at(CHECKSUM_AT);
     let payload = &bytes[HEADER_BYTES..];
     if payload.len() as u64 != num_edges.checked_mul(EDGE_BYTES as u64)?
-        || fnv1a(payload) != checksum
+        || fnv1a_extend(fnv1a(&bytes[8..CHECKSUM_AT]), payload) != checksum
     {
         return None;
     }
@@ -257,8 +291,15 @@ fn decode(bytes: &[u8], want_seed: u64, want_divisor: u32) -> Option<Graph> {
 }
 
 /// 64-bit FNV-1a over `bytes` — cheap, dependency-free corruption check.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+/// Changing any one byte always changes the hash: each step is a
+/// bijection of the running state.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes, as if they were appended to
+/// the input that produced `hash`.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -269,6 +310,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvm_sim::DetRng;
+    use std::fs::FileTimes;
+    use std::time::Duration;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dvm-cache-test-{tag}-{}", std::process::id()));
@@ -285,24 +329,82 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_truncation_and_bit_flips() {
-        let dir = scratch_dir("flip");
+    fn every_header_bit_flip_and_sampled_corruption_is_rejected() {
+        // Regression test: the checksum used to cover the edge payload
+        // only, so a flipped num_vertices bit decoded to a different
+        // graph (and a flipped top bit asked for a ~16 GiB offsets
+        // array). Every corruption must be a miss, never a panic and
+        // never a different graph.
+        let dir = scratch_dir("fuzz");
         let cache = DatasetCache::new(&dir).unwrap();
-        let graph = cache.get_or_generate(Dataset::Flickr, 1024);
-        let path = cache.entry_path(Dataset::Flickr, 1024);
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(decode(&bytes, Dataset::Flickr.seed(), 1024).is_some());
-        // Truncated payload.
-        assert!(decode(&bytes[..bytes.len() - 1], Dataset::Flickr.seed(), 1024).is_none());
-        // A single flipped payload bit fails the checksum.
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x40;
-        assert!(decode(&corrupt, Dataset::Flickr.seed(), 1024).is_none());
+        let (seed, divisor) = (Dataset::Flickr.seed(), 1024);
+        cache.get_or_generate(Dataset::Flickr, divisor);
+        let bytes = std::fs::read(cache.entry_path(Dataset::Flickr, divisor)).unwrap();
+        assert!(decode(&bytes, seed, divisor).is_some());
         // Wrong key.
-        assert!(decode(&bytes, Dataset::Flickr.seed() ^ 1, 1024).is_none());
-        assert!(decode(&bytes, Dataset::Flickr.seed(), 512).is_none());
-        drop(graph);
+        assert!(decode(&bytes, seed ^ 1, divisor).is_none());
+        assert!(decode(&bytes, seed, divisor / 2).is_none());
+        let rejected = |corrupt: &[u8], what: &str| {
+            assert!(decode(corrupt, seed, divisor).is_none(), "{what} decoded");
+        };
+        for byte in 0..HEADER_BYTES {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[byte] ^= 1 << bit;
+                rejected(&corrupt, &format!("header byte {byte} bit {bit} flipped"));
+            }
+        }
+        let payload_len = (bytes.len() - HEADER_BYTES) as u64;
+        for case in 0..64 {
+            let mut rng = DetRng::new(case);
+            let at = HEADER_BYTES + rng.below(payload_len) as usize;
+            let bit = rng.below(8);
+            let mut corrupt = bytes.clone();
+            corrupt[at] ^= 1 << bit;
+            rejected(
+                &corrupt,
+                &format!("seed {case}: byte {at} bit {bit} flipped"),
+            );
+            let len = rng.below(bytes.len() as u64) as usize;
+            rejected(&bytes[..len], &format!("seed {case}: truncated to {len}"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unique_tmp_paths_never_collide() {
+        let path = Path::new("/cache/FR_div4_v2.csr");
+        let a = unique_tmp_path(path);
+        let b = unique_tmp_path(path);
+        assert_ne!(a, b);
+        for tmp in [&a, &b] {
+            let ext = tmp.extension().unwrap().to_str().unwrap();
+            assert!(ext.starts_with("tmp"), "tmp extension, got {ext}");
+        }
+    }
+
+    #[test]
+    fn opening_sweeps_stale_tmp_files_but_keeps_live_ones() {
+        let dir = scratch_dir("orphans");
+        std::fs::create_dir_all(&dir).unwrap();
+        let put = |name: &str, age_secs: u64| {
+            let file = std::fs::File::create(dir.join(name)).unwrap();
+            let mtime = SystemTime::now() - Duration::from_secs(age_secs);
+            file.set_times(FileTimes::new().set_modified(mtime))
+                .unwrap();
+        };
+        put("FR_div4_v2.csr", 7200);
+        put("FR_div4_v2.tmp123-0", 7200);
+        put("NF_div4_v2.tmp456-1", 0);
+        assert_eq!(open_dir(&dir).unwrap(), 1);
+        assert!(!dir.join("FR_div4_v2.tmp123-0").exists());
+        // A tmp younger than the grace period is an in-flight write.
+        assert!(dir.join("NF_div4_v2.tmp456-1").exists());
+        assert!(dir.join("FR_div4_v2.csr").exists());
+        // Opening a cache runs the same sweep.
+        put("S24_div4_v2.tmp789-2", 7200);
+        DatasetCache::new(&dir).unwrap();
+        assert!(!dir.join("S24_div4_v2.tmp789-2").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -125,42 +125,6 @@ fn failed_store_cleans_up_its_tmp_file() {
 }
 
 #[test]
-fn budget_evicts_lru_entries_and_misses_stay_clean() {
-    let dir = scratch_dir("budget");
-    // Populate three entries, then reopen with a budget sized from the
-    // real files so exactly one of them no longer fits.
-    let sizer = DatasetCache::new(&dir).unwrap();
-    for dataset in [Dataset::Flickr, Dataset::Netflix, Dataset::Rmat24] {
-        sizer.get_or_generate(dataset, 2048);
-    }
-    let entry_bytes = |d: Dataset| std::fs::metadata(sizer.entry_path(d, 2048)).unwrap().len();
-    let budget = entry_bytes(Dataset::Flickr) + entry_bytes(Dataset::Rmat24);
-
-    let cache = DatasetCache::with_budget(&dir, Some(budget)).unwrap();
-    assert_eq!(cache.budget().max_bytes(), Some(budget));
-    // Touch FR so NF (stored before S24, never touched since) is the
-    // least-recently-used entry and the sole victim.
-    let fr = cache.get_or_generate(Dataset::Flickr, 2048);
-    assert_eq!(cache.budget().enforce(), 1);
-    assert_eq!(cache.evictions(), 1);
-    assert!(!sizer.entry_path(Dataset::Netflix, 2048).exists());
-    assert!(sizer.entry_path(Dataset::Flickr, 2048).exists());
-    assert!(sizer.entry_path(Dataset::Rmat24, 2048).exists());
-    assert!(
-        cache.budget().used_bytes() <= budget,
-        "directory exceeds the budget"
-    );
-    // The evicted entry degrades to a clean regenerate-on-miss, and the
-    // re-store keeps the directory under budget.
-    let nf = cache.get_or_generate(Dataset::Netflix, 2048);
-    assert_eq!(nf, Dataset::Netflix.generate(2048));
-    assert_eq!(fr, Dataset::Flickr.generate(2048));
-    assert!(cache.budget().used_bytes() <= budget);
-    assert_eq!(cache.rejected(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn garbage_file_falls_back_cleanly() {
     let dir = scratch_dir("garbage");
     let cache = DatasetCache::new(&dir).unwrap();

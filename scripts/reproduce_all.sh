@@ -3,7 +3,7 @@
 # EXPERIMENTS.md. Usage:
 #
 #   scripts/reproduce_all.sh [smoke|quick|paper|full] [--jobs N] [--shards N]
-#       [--farm HOST:PORT] [--cache-max-bytes N] [--report-cache-max-bytes N]
+#       [--farm HOST:PORT]
 #
 # quick: minutes. paper: ~1-2 hours on one core (Figure 8/9 dominate).
 # full: unscaled Table 3 datasets; hours and ~16 GiB of host RAM.
@@ -19,13 +19,11 @@
 # runs skip regeneration. Figures 2, 8, 9 and 11 sweep overlapping unit
 # grids, so they share a per-invocation report cache (results/.report-cache, cleared
 # up front): the first binary to simulate a unit records its report, the
-# rest replay it byte-identically. --cache-max-bytes / --report-cache-max-bytes
-# (sizes take K/M/G/T suffixes) cap those directories with an LRU byte
-# budget — evicted entries regenerate on the next miss, so budgets trade
-# wall-clock for disk without changing any output byte. Each binary writes
-# results/<name>_<scale>.json, and the script records per-binary
-# wall-clock, dataset-cache hit/miss and cache-eviction counts in
-# results/BENCH_sweep.json.
+# rest replay it byte-identically. Neither cache is bounded: the dataset
+# cache holds one entry per dataset and scale, and a whole grid of unit
+# reports is tens of KB. Each binary writes results/<name>_<scale>.json,
+# and the script records per-binary wall-clock and dataset-cache hit/miss
+# counts in results/BENCH_sweep.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,17 +31,13 @@ SCALE="quick"
 JOBS=1
 SHARDS=0
 FARM=""
-CACHE_MAX=""
-REPORT_CACHE_MAX=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
         smoke|quick|paper|full) SCALE="$1"; shift ;;
         --jobs) JOBS="$2"; shift 2 ;;
         --shards) SHARDS="$2"; shift 2 ;;
         --farm) FARM="$2"; shift 2 ;;
-        --cache-max-bytes) CACHE_MAX="$2"; shift 2 ;;
-        --report-cache-max-bytes) REPORT_CACHE_MAX="$2"; shift 2 ;;
-        *) echo "usage: $0 [smoke|quick|paper|full] [--jobs N] [--shards N] [--farm HOST:PORT] [--cache-max-bytes N] [--report-cache-max-bytes N]" >&2; exit 2 ;;
+        *) echo "usage: $0 [smoke|quick|paper|full] [--jobs N] [--shards N] [--farm HOST:PORT]" >&2; exit 2 ;;
     esac
 done
 
@@ -78,9 +72,6 @@ run() { # name, extra args...
     if [[ -n $FARM ]]; then
         extra+=(--farm "$FARM")
     fi
-    if [[ -n $CACHE_MAX ]]; then
-        extra+=(--cache-max-bytes "$CACHE_MAX")
-    fi
     echo ">>> $name --scale $SCALE --jobs $JOBS ${extra[*]} $*"
     local t0 t1 err
     err=$(mktemp)
@@ -92,20 +83,15 @@ run() { # name, extra args...
         2> "$err" || { cat "$err" >&2; rm -f "$err"; exit 1; }
     t1=$(now_ms)
     cat "$err" >&2
-    local hits misses evicted report_evicted
+    local hits misses
     hits=$(cache_count dataset-cache hits "$err")
     misses=$(cache_count dataset-cache misses "$err")
-    evicted=$(cache_count dataset-cache evicted "$err")
-    report_evicted=$(cache_count report-cache evicted "$err")
     rm -f "$err"
-    BENCH_ROWS+="    {\"bin\": \"$name\", \"wall_ms\": $((t1 - t0)), \"cache_hits\": $hits, \"cache_misses\": $misses, \"cache_evictions\": $evicted, \"report_cache_evictions\": $report_evicted},"$'\n'
+    BENCH_ROWS+="    {\"bin\": \"$name\", \"wall_ms\": $((t1 - t0)), \"cache_hits\": $hits, \"cache_misses\": $misses},"$'\n'
 }
 
-# The shared unit-report cache, with its optional byte budget.
+# The shared unit-report cache.
 RC_ARGS=(--report-cache "$REPORT_CACHE")
-if [[ -n $REPORT_CACHE_MAX ]]; then
-    RC_ARGS+=(--report-cache-max-bytes "$REPORT_CACHE_MAX")
-fi
 
 run table3
 run table1
