@@ -16,8 +16,7 @@
 //! --json PATH                     also write the machine-readable document
 //! --shards N                      fan the grid out over N worker processes
 //!                                 (a loopback farm; with --farm, the slice count)
-//! --shard I/N                     run only shard I, write a fragment, exit
-//! --shard-out PATH                fragment path (required with --shard)
+//! --shard I/N                     run only shard I, print a fragment, exit
 //! --farm HOST:PORT                run the grid on a farmd coordinator's workers
 //! --cache-dir DIR                 on-disk dataset cache (see dvm-graph)
 //! --report-cache DIR              per-unit report cache shared across binaries
@@ -50,7 +49,8 @@ impl fmt::Display for Shard {
 pub enum ShardRole {
     /// Run the whole grid in this process (the default).
     Single,
-    /// Run one shard and write a fragment (no stdout contract).
+    /// Run one shard and print its fragment document on stdout (the farm
+    /// worker's role; no other stdout contract).
     Worker(Shard),
     /// Run the sweep on a farm and merge the fragments its workers send
     /// back: a `farmd` coordinator (`--farm host:port`), or with a bare
@@ -79,8 +79,6 @@ pub struct BenchArgs {
     pub shards: Option<usize>,
     /// Worker: the slice of the grid this process runs.
     pub shard: Option<Shard>,
-    /// Worker: where to write the fragment (set exactly when `shard` is).
-    pub shard_out: Option<PathBuf>,
     /// Submit the sweep to this `farmd` coordinator (`host:port`)
     /// instead of running locally.
     pub farm: Option<String>,
@@ -111,7 +109,7 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
        [--schemes a,b,c]
        [--jobs N] [--json PATH] [--progress] [--cache-dir DIR]
        [--report-cache DIR]
-       [--shards N | --shard I/N --shard-out PATH]
+       [--shards N | --shard I/N]
        [--farm HOST:PORT]
 
   --scale        dataset sizing (default: quick; smoke is for CI/tests)
@@ -125,8 +123,8 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
   --cache-dir    load/store generated datasets in an on-disk cache
   --report-cache reuse per-unit sweep reports across figure binaries
   --shards       fan the grid out over N worker processes and merge
-  --shard        run only shard I of N and write a fragment, then exit
-  --shard-out    fragment path for --shard (required with it)
+  --shard        run only shard I of N, print its fragment on stdout and
+                 exit (the farm worker's role)
   --farm         submit the sweep to a farmd coordinator and merge the
                  fragments its workers return (with --shards N, ask for
                  N slices; default: one slice per connected worker)";
@@ -149,7 +147,6 @@ impl BenchArgs {
         let mut json = None;
         let mut shards = None;
         let mut shard = None;
-        let mut shard_out = None;
         let mut farm = None;
         let mut cache_dir: Option<PathBuf> = None;
         let mut report_dir: Option<PathBuf> = None;
@@ -225,9 +222,6 @@ impl BenchArgs {
                         _ => return Err(bad()),
                     };
                 }
-                "--shard-out" => {
-                    shard_out = Some(PathBuf::from(value_of("--shard-out", &mut args)?));
-                }
                 "--farm" => {
                     let v = value_of("--farm", &mut args)?;
                     let valid = v.rsplit_once(':').is_some_and(|(host, port)| {
@@ -260,11 +254,6 @@ impl BenchArgs {
         if farm.is_some() && shard.is_some() {
             return Err(err("--farm cannot be combined with --shard"));
         }
-        match (shard.is_some(), shard_out.is_some()) {
-            (true, false) => return Err(err("--shard needs --shard-out PATH")),
-            (false, true) => return Err(err("--shard-out only makes sense with --shard")),
-            _ => {}
-        }
         let cache = match cache_dir {
             None => None,
             Some(dir) => Some(
@@ -287,7 +276,6 @@ impl BenchArgs {
             json,
             shards,
             shard,
-            shard_out,
             farm,
             cache,
             reports,
@@ -330,7 +318,7 @@ impl BenchArgs {
     }
 
     /// Print a banner line on stdout — skipped in worker mode, whose
-    /// stdout is not part of the output contract.
+    /// stdout carries nothing but the fragment document.
     pub fn banner(&self, line: &str) {
         if self.shard.is_none() {
             println!("{line}");
@@ -488,8 +476,7 @@ impl BenchArgs {
 
     /// The argv submitted with a farm job: the grid-defining flags every
     /// worker needs — scale, filters, jobs, caches, progress — minus any
-    /// role flag. Farm workers append `--shard I/N --shard-out PATH`
-    /// themselves per slice (and may override the cache paths with local
+    /// role flag. Farm workers append `--shard I/N` themselves per slice (and may override the cache paths with local
     /// ones).
     pub fn farm_argv(&self) -> Vec<String> {
         let mut argv = vec!["--scale".to_string(), self.scale.name().to_string()];
@@ -532,12 +519,7 @@ mod tests {
     /// [`BenchArgs::farm_argv`] plus the shard tail it appends.
     fn slice_argv(args: &BenchArgs, index: usize, count: usize) -> Vec<String> {
         let mut argv = args.farm_argv();
-        argv.extend([
-            "--shard".to_string(),
-            format!("{index}/{count}"),
-            "--shard-out".to_string(),
-            "frag.json".to_string(),
-        ]);
+        argv.extend(["--shard".to_string(), format!("{index}/{count}")]);
         argv
     }
 
@@ -580,9 +562,7 @@ mod tests {
     #[test]
     fn shard_roles_parse_and_exclude_each_other() {
         assert_eq!(
-            parse(&["--shard", "1/3", "--shard-out", "f.json"])
-                .unwrap()
-                .role(),
+            parse(&["--shard", "1/3"]).unwrap().role(),
             ShardRole::Worker(Shard { index: 1, count: 3 })
         );
         // A bare --shards N is a loopback farm of N workers.
@@ -594,12 +574,6 @@ mod tests {
         assert!(parse(&["--shard", "x/3"]).is_err());
         assert!(parse(&["--shards", "0"]).is_err());
         assert!(parse(&["--shards", "2", "--shard", "0/2"]).is_err());
-        // A worker always names its fragment; a fragment path needs a worker.
-        assert_eq!(
-            parse(&["--shard", "0/2"]).unwrap_err().0,
-            "--shard needs --shard-out PATH"
-        );
-        assert!(parse(&["--shard-out", "f.json"]).is_err());
     }
 
     #[test]
@@ -756,10 +730,6 @@ mod tests {
         assert_eq!(
             worker.role(),
             ShardRole::Worker(Shard { index: 1, count: 2 })
-        );
-        assert_eq!(
-            worker.shard_out.as_deref(),
-            Some(std::path::Path::new("frag.json"))
         );
     }
 }

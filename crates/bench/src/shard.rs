@@ -1,25 +1,24 @@
 //! The multi-process sweep runner.
 //!
-//! A bench binary invoked with `--shard I/N --shard-out PATH` is a
-//! **worker**: it runs the round-robin slice of the grid
-//! ([`SweepSpec::shard`]), writes a *fragment* — raw per-unit results
-//! keyed by global grid index — to `PATH` and exits. Farm workers are its
-//! only callers. Every other multi-process run gathers fragments from a
-//! farm: `--farm HOST:PORT` submits the grid to a running `farmd`, and
-//! `--shards N` alone starts a loopback farm (an in-process `farmd` plus
-//! N worker threads that spawn this executable). The gathered fragments
-//! are reassembled **in spec order** and formatted exactly once. Because
-//! formatting consumes the same values a single-process run would
-//! produce (integers exactly, floats through the shortest-representation
-//! render and correctly-rounded parse), the merged text table and
-//! `--json` document are byte-identical to a `--jobs 1` run by
-//! construction.
+//! A bench binary invoked with `--shard I/N` is a **worker**: it runs the
+//! round-robin slice of the grid ([`SweepSpec::shard`]), prints a
+//! *fragment* — raw per-unit results keyed by global grid index — on
+//! stdout and exits. Farm workers are its only callers. Every other
+//! multi-process run gathers fragments from a farm: `--farm HOST:PORT`
+//! submits the grid to a running `farmd`, and `--shards N` alone starts a
+//! loopback farm (an in-process `farmd` plus N worker threads that spawn
+//! this executable). The gathered fragments are reassembled **in spec
+//! order** and formatted exactly once. Because formatting consumes the
+//! same values a single-process run would produce (integers exactly,
+//! floats through the shortest-representation render and
+//! correctly-rounded parse), the merged text table and `--json` document
+//! are byte-identical to a `--jobs 1` run by construction.
 //!
-//! Workers' stdout is discarded (their banner lines are not part of any
-//! contract). Their stderr reaches ours through the farm: `progress:`
-//! lines are merged into one global `done/total` count (printed under
-//! `--progress`), everything else — dataset-cache statistics included —
-//! passes through verbatim.
+//! A worker's stdout carries nothing but its fragment (banner lines are
+//! skipped in that role). Its stderr reaches ours through the farm:
+//! `progress:` lines are merged into one global `done/total` count
+//! (printed under `--progress`), everything else — dataset-cache
+//! statistics included — passes through verbatim.
 //!
 //! Workers inherit the submitting process's cache flags verbatim (see
 //! [`BenchArgs::farm_argv`]), so they share its cache directories.
@@ -37,15 +36,16 @@ use crate::{
     pair_label, parse, report_json, validate_header, BenchArgs, Json, JsonDoc, Shard, ShardRole,
 };
 use dvm_core::{
-    parallel_map_ordered, CellReports, GraphRunReport, RunResult, SchemeId, SweepProgress,
-    SweepRunner, SweepSpec, Workload,
+    parallel_map_ordered, CellReports, GraphRunReport, RunResult, SchemeId, SweepCell,
+    SweepProgress, SweepRunner, SweepSpec, Workload,
 };
+use dvm_graph::fnv1a;
 use dvm_pagetable::SizeReport;
 use dvm_sim::Histogram;
+use std::io::Write as _;
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// A per-unit result that can cross a process boundary through a shard
 /// fragment and come back *value-identical*: `from_json(to_json(x))`
@@ -124,57 +124,49 @@ fn array_from_json<T: Copy + Default, const N: usize>(
     Ok(out)
 }
 
-fn size_report_json(r: &SizeReport) -> Json {
-    Json::obj([
-        ("table_frames", r.table_frames.to_json()),
-        ("present_entries", r.present_entries.to_json()),
-        ("l1_pte_count", Json::UInt(r.l1_pte_count)),
-        ("pe_entries", r.pe_entries.to_json()),
-        ("huge_leaf_entries", Json::UInt(r.huge_leaf_entries)),
-    ])
+/// Decode field `key` of `value` as a `T`.
+fn field<T: ShardValue>(value: &Json, key: &str) -> Result<T, String> {
+    T::from_json(
+        value
+            .get(key)
+            .ok_or_else(|| format!("missing field '{key}'"))?,
+    )
 }
 
-fn size_report_from_json(value: &Json) -> Result<SizeReport, String> {
-    Ok(SizeReport {
-        table_frames: ShardValue::from_json(
-            value
-                .get("table_frames")
-                .ok_or("missing field 'table_frames'")?,
-        )?,
-        present_entries: ShardValue::from_json(
-            value
-                .get("present_entries")
-                .ok_or("missing field 'present_entries'")?,
-        )?,
-        l1_pte_count: value.expect_u64("l1_pte_count")?,
-        pe_entries: ShardValue::from_json(
-            value
-                .get("pe_entries")
-                .ok_or("missing field 'pe_entries'")?,
-        )?,
-        huge_leaf_entries: value.expect_u64("huge_leaf_entries")?,
-    })
+impl ShardValue for SizeReport {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("table_frames", self.table_frames.to_json()),
+            ("present_entries", self.present_entries.to_json()),
+            ("l1_pte_count", Json::UInt(self.l1_pte_count)),
+            ("pe_entries", self.pe_entries.to_json()),
+            ("huge_leaf_entries", Json::UInt(self.huge_leaf_entries)),
+        ])
+    }
+    fn from_json(value: &Json) -> Result<Self, String> {
+        Ok(Self {
+            table_frames: field(value, "table_frames")?,
+            present_entries: field(value, "present_entries")?,
+            l1_pte_count: field(value, "l1_pte_count")?,
+            pe_entries: field(value, "pe_entries")?,
+            huge_leaf_entries: field(value, "huge_leaf_entries")?,
+        })
+    }
 }
 
 impl ShardValue for dvm_core::PageTableStudy {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("conventional", size_report_json(&self.conventional)),
-            ("with_pes", size_report_json(&self.with_pes)),
+            ("conventional", self.conventional.to_json()),
+            ("with_pes", self.with_pes.to_json()),
             ("heap_bytes", Json::UInt(self.heap_bytes)),
         ])
     }
     fn from_json(value: &Json) -> Result<Self, String> {
         Ok(Self {
-            conventional: size_report_from_json(
-                value
-                    .get("conventional")
-                    .ok_or("missing field 'conventional'")?,
-            )?,
-            with_pes: size_report_from_json(
-                value.get("with_pes").ok_or("missing field 'with_pes'")?,
-            )?,
-            heap_bytes: value.expect_u64("heap_bytes")?,
+            conventional: field(value, "conventional")?,
+            with_pes: field(value, "with_pes")?,
+            heap_bytes: field(value, "heap_bytes")?,
         })
     }
 }
@@ -293,6 +285,14 @@ pub(crate) fn report_from_json(
     })
 }
 
+/// The integrity check a fragment carries: FNV-1a of its `units`
+/// array's canonical rendering, as hex. By the round-trip contract an
+/// intact fragment re-renders to the same bytes; a flipped digit still
+/// parses, but no longer matches.
+fn units_checksum(units: &Json) -> String {
+    format!("{:016x}", fnv1a(units.to_string().as_bytes()))
+}
+
 fn fragment_doc(
     experiment: &str,
     scale: &str,
@@ -300,27 +300,26 @@ fn fragment_doc(
     total_units: usize,
     units: Vec<(usize, String, Json)>,
 ) -> Json {
+    let units = Json::Arr(
+        units
+            .into_iter()
+            .map(|(index, label, value)| {
+                Json::obj([
+                    ("index", Json::UInt(index as u64)),
+                    ("label", Json::Str(label)),
+                    ("value", value),
+                ])
+            })
+            .collect(),
+    );
     JsonDoc::new(experiment)
         .field("kind", Json::Str("shard-fragment".to_string()))
         .field("scale", Json::Str(scale.to_string()))
         .field("shard", Json::UInt(shard.index as u64))
         .field("shards", Json::UInt(shard.count as u64))
         .field("total_units", Json::UInt(total_units as u64))
-        .field(
-            "units",
-            Json::Arr(
-                units
-                    .into_iter()
-                    .map(|(index, label, value)| {
-                        Json::obj([
-                            ("index", Json::UInt(index as u64)),
-                            ("label", Json::Str(label)),
-                            ("value", value),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )
+        .field("checksum", Json::Str(units_checksum(&units)))
+        .field("units", units)
         .build()
 }
 
@@ -375,6 +374,10 @@ fn merge_fragments(
             return Err(format!("shard {shard} appears in two fragments"));
         }
         shards_seen.push(shard);
+        let units = frag.get("units").ok_or("missing field 'units'")?;
+        if frag.expect_str("checksum")? != units_checksum(units) {
+            return Err(format!("shard {shard} fragment fails its checksum"));
+        }
         for unit in frag.expect_arr("units")? {
             let index = unit.expect_u64("index")? as usize;
             if index >= total {
@@ -407,32 +410,12 @@ fn fail(context: &str, message: &str) -> ! {
     std::process::exit(1);
 }
 
-fn write_fragment(
-    args: &BenchArgs,
-    experiment: &str,
-    shard: Shard,
-    total: usize,
-    units: Vec<(usize, String, Json)>,
-) {
-    let path = args
-        .shard_out
-        .as_deref()
-        .expect("parsing requires --shard-out with --shard");
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("creating fragment directory failed");
-        }
-    }
-    let doc = fragment_doc(experiment, args.scale.name(), shard, total, units);
-    std::fs::write(path, format!("{doc}\n")).expect("writing shard fragment failed");
-}
-
 /// Run the sweep on a farm and return the parsed fragments its workers
 /// produced, in slice order. `--farm HOST:PORT` submits to a running
 /// `farmd`; `--shards N` alone starts a loopback farm in this process
-/// ([`start_loopback_farm`]). The farm ships fragment *bytes*; they are
-/// the same documents `--shard` workers write, so the ordinary merge path
-/// downstream keeps the output byte-identical to a serial run.
+/// ([`start_loopback_farm`]). The farm ships fragment *bytes*: the
+/// documents `--shard` workers print, which the ordinary merge path
+/// downstream turns into output byte-identical to a serial run.
 fn farm_fragments(
     args: &BenchArgs,
     experiment: &str,
@@ -490,13 +473,7 @@ fn start_loopback_farm(exe: &Path, workers: usize) -> Result<String, String> {
         .local_addr()
         .map_err(|e| format!("loopback farm has no address: {e}"))?
         .to_string();
-    let cfg = dvm_farm::FarmConfig {
-        // Local workers share this host's cores, so a second copy of a
-        // slow slice cannot finish sooner: never requeue a running slice.
-        slice_timeout: Duration::MAX,
-        ..dvm_farm::FarmConfig::default()
-    };
-    std::thread::spawn(move || dvm_farm::serve(listener, cfg));
+    std::thread::spawn(move || dvm_farm::serve(listener));
     let bin_dir = exe.parent().ok_or("own executable has no directory")?;
     for i in 0..workers {
         let cfg = dvm_farm::WorkerConfig {
@@ -505,8 +482,6 @@ fn start_loopback_farm(exe: &Path, workers: usize) -> Result<String, String> {
             name: format!("local{i}"),
             cache_dir: None,
             report_cache: None,
-            scratch: std::env::temp_dir(),
-            connect_wait: Duration::ZERO,
         };
         std::thread::spawn(move || {
             if let Err(e) = dvm_farm::run_worker(&cfg) {
@@ -517,8 +492,103 @@ fn start_loopback_farm(exe: &Path, workers: usize) -> Result<String, String> {
     Ok(addr)
 }
 
+/// Merge a farm's fragments and decode one value per unit, in unit
+/// order. Each unit's label must match `labels`; `decode(i, value)`
+/// rebuilds unit `i`.
+fn decode_fragments<T>(
+    fragments: &[Json],
+    experiment: &str,
+    scale: &str,
+    labels: &[String],
+    decode: impl Fn(usize, &Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let slots = merge_fragments(fragments, experiment, scale, labels.len())?;
+    labels
+        .iter()
+        .zip(slots)
+        .enumerate()
+        .map(|(i, (want, (label, value)))| {
+            if &label != want {
+                return Err(format!("unit label '{label}' != expected '{want}'"));
+            }
+            decode(i, &value).map_err(|e| format!("unit '{label}': {e}"))
+        })
+        .collect()
+}
+
+/// The one role dispatcher behind [`run_sharded_sweep`] and [`run_grid`]:
+/// run a grid of `labels.len()` units under this process's sharding role
+/// and return one value per unit, in unit order.
+///
+/// - **Single**: `run_slice(None)` runs every unit here.
+/// - **Worker** (`--shard I/N`): `run_slice(Some(shard))` runs units
+///   `I, I+N, I+2N, …` in that order; their `encode`d values go to
+///   stdout as one fragment document and the process exits here.
+/// - **Farm**: the farm's fragments are merged and unit `i` is rebuilt
+///   with `decode(i, value)`. `progress_units` is the total the
+///   aggregated progress counts toward.
+fn run_role<T>(
+    args: &BenchArgs,
+    experiment: &str,
+    labels: &[String],
+    progress_units: usize,
+    run_slice: impl FnOnce(Option<Shard>) -> Vec<T>,
+    encode: impl Fn(&T) -> Json,
+    decode: impl Fn(usize, &Json) -> Result<T, String>,
+) -> Vec<T> {
+    let scale = args.scale.name();
+    match args.role() {
+        ShardRole::Single => {
+            let values = run_slice(None);
+            args.report_cache_stats();
+            values
+        }
+        ShardRole::Worker(shard) => {
+            let values = run_slice(Some(shard));
+            let units = (shard.index..labels.len())
+                .step_by(shard.count)
+                .zip(&values)
+                .map(|(i, value)| (i, labels[i].clone(), encode(value)))
+                .collect();
+            let doc = fragment_doc(experiment, scale, shard, labels.len(), units);
+            let mut stdout = std::io::stdout().lock();
+            writeln!(stdout, "{doc}")
+                .and_then(|()| stdout.flush())
+                .unwrap_or_else(|e| fail(experiment, &format!("printing the fragment: {e}")));
+            args.report_cache_stats();
+            std::process::exit(0);
+        }
+        ShardRole::Farm => farm_fragments(args, experiment, progress_units)
+            .and_then(|fragments| decode_fragments(&fragments, experiment, scale, labels, decode))
+            .unwrap_or_else(|e| fail(experiment, &e)),
+    }
+}
+
+/// Rebuild one sweep cell's reports from its fragment value.
+fn cell_from_json(cell: &SweepCell, value: &Json) -> Result<CellReports, String> {
+    let arr = value.as_arr().ok_or("value is not an array")?;
+    if arr.len() != cell.schemes.len() {
+        return Err(format!(
+            "{} reports, expected {}",
+            arr.len(),
+            cell.schemes.len()
+        ));
+    }
+    let reports = cell
+        .schemes
+        .iter()
+        .zip(arr)
+        .map(|(&mmu, obj)| report_from_json(obj, mmu, &cell.workload))
+        .collect::<Result<_, _>>()?;
+    Ok(CellReports {
+        workload: cell.workload,
+        dataset: cell.dataset,
+        reports,
+    })
+}
+
 /// Run a graph sweep under this process's sharding role, returning
-/// merged results in spec order. Workers write their fragment and exit
+/// merged results in spec order. Workers print their fragment and exit
 /// inside this call; the single and farm roles return.
 ///
 /// # Panics
@@ -531,86 +601,23 @@ pub fn run_sharded_sweep(
     schemes: &[SchemeId],
 ) -> Vec<CellReports> {
     let spec = args.sweep_spec(schemes);
-    match args.role() {
-        ShardRole::Single => {
-            let cells = sweep_with_options(args, &spec, None);
-            args.report_cache_stats();
-            cells
-        }
-        ShardRole::Worker(shard) => {
-            let sub = spec.shard(shard.index, shard.count);
-            let cells = sweep_with_options(args, &sub, Some(shard));
-            let units = spec
-                .shard_indices(shard.index, shard.count)
-                .zip(&cells)
-                .map(|(index, cell)| {
-                    (
-                        index,
-                        pair_label(&cell.workload, cell.dataset),
-                        Json::Arr(cell.reports.iter().map(report_json).collect()),
-                    )
-                })
-                .collect();
-            write_fragment(args, experiment, shard, spec.cells.len(), units);
-            args.report_cache_stats();
-            std::process::exit(0);
-        }
-        ShardRole::Farm => {
-            let fragments = farm_fragments(args, experiment, spec.unit_count())
-                .unwrap_or_else(|e| fail(experiment, &e));
-            cells_from_fragments(args, experiment, &spec, &fragments)
-        }
-    }
-}
-
-fn cells_from_fragments(
-    args: &BenchArgs,
-    experiment: &str,
-    spec: &SweepSpec,
-    fragments: &[Json],
-) -> Vec<CellReports> {
-    let slots = merge_fragments(fragments, experiment, args.scale.name(), spec.cells.len())
-        .unwrap_or_else(|e| fail(experiment, &e));
-    spec.cells
+    let labels: Vec<String> = spec
+        .cells
         .iter()
-        .zip(slots)
-        .map(|(cell, (label, value))| {
-            let want = pair_label(&cell.workload, cell.dataset);
-            if label != want {
-                fail(
-                    experiment,
-                    &format!("unit label '{label}' != expected '{want}'"),
-                );
-            }
-            let arr = value.as_arr().unwrap_or_else(|| {
-                fail(experiment, &format!("unit '{label}' value is not an array"))
-            });
-            if arr.len() != cell.schemes.len() {
-                fail(
-                    experiment,
-                    &format!(
-                        "unit '{label}' has {} reports, expected {}",
-                        arr.len(),
-                        cell.schemes.len()
-                    ),
-                );
-            }
-            let reports = cell
-                .schemes
-                .iter()
-                .zip(arr)
-                .map(|(&mmu, obj)| {
-                    report_from_json(obj, mmu, &cell.workload)
-                        .unwrap_or_else(|e| fail(experiment, &format!("unit '{label}': {e}")))
-                })
-                .collect();
-            CellReports {
-                workload: cell.workload,
-                dataset: cell.dataset,
-                reports,
-            }
-        })
-        .collect()
+        .map(|cell| pair_label(&cell.workload, cell.dataset))
+        .collect();
+    run_role(
+        args,
+        experiment,
+        &labels,
+        spec.unit_count(),
+        |shard| match shard {
+            None => sweep_with_options(args, &spec, None),
+            Some(s) => sweep_with_options(args, &spec.shard(s.index, s.count), shard),
+        },
+        |cell| Json::Arr(cell.reports.iter().map(report_json).collect()),
+        |i, value| cell_from_json(&spec.cells[i], value),
+    )
 }
 
 fn sweep_with_options(
@@ -654,76 +661,27 @@ where
     T: ShardValue + Send,
     F: Fn(usize) -> T + Sync,
 {
-    match args.role() {
-        ShardRole::Single => {
-            let indices: Vec<usize> = (0..labels.len()).collect();
-            let values = grid_indices(args, labels, &indices, &compute);
-            args.report_cache_stats();
-            values
-        }
-        ShardRole::Worker(shard) => {
-            let indices: Vec<usize> = (shard.index..labels.len()).step_by(shard.count).collect();
-            let values = grid_indices(args, labels, &indices, &compute);
-            let units = indices
-                .iter()
-                .zip(&values)
-                .map(|(&i, v)| (i, labels[i].clone(), v.to_json()))
-                .collect();
-            write_fragment(args, experiment, shard, labels.len(), units);
-            args.report_cache_stats();
-            std::process::exit(0);
-        }
-        ShardRole::Farm => {
-            let fragments = farm_fragments(args, experiment, labels.len())
-                .unwrap_or_else(|e| fail(experiment, &e));
-            grid_from_fragments(args, experiment, labels, &fragments)
-        }
-    }
-}
-
-fn grid_indices<T, F>(args: &BenchArgs, labels: &[String], indices: &[usize], compute: &F) -> Vec<T>
-where
-    T: ShardValue + Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let done = AtomicUsize::new(0);
-    let total = indices.len();
-    parallel_map_ordered(indices, args.jobs, |&i| {
-        let value = compute(i);
-        if args.progress {
-            eprintln!(
-                "progress: {}/{} ({})",
-                done.fetch_add(1, Ordering::AcqRel) + 1,
-                total,
-                labels[i]
-            );
-        }
-        value
-    })
-}
-
-fn grid_from_fragments<T: ShardValue>(
-    args: &BenchArgs,
-    experiment: &str,
-    labels: &[String],
-    fragments: &[Json],
-) -> Vec<T> {
-    let slots = merge_fragments(fragments, experiment, args.scale.name(), labels.len())
-        .unwrap_or_else(|e| fail(experiment, &e));
-    labels
-        .iter()
-        .zip(slots)
-        .map(|(want, (label, value))| {
-            if &label != want {
-                fail(
-                    experiment,
-                    &format!("unit label '{label}' != expected '{want}'"),
-                );
-            }
-            T::from_json(&value)
-                .unwrap_or_else(|e| fail(experiment, &format!("unit '{label}': {e}")))
-        })
-        .collect()
+    run_role(
+        args,
+        experiment,
+        labels,
+        labels.len(),
+        |shard| {
+            let Shard { index, count } = shard.unwrap_or(Shard { index: 0, count: 1 });
+            let indices: Vec<usize> = (index..labels.len()).step_by(count).collect();
+            let done = AtomicUsize::new(0);
+            parallel_map_ordered(&indices, args.jobs, |&i| {
+                let value = compute(i);
+                if args.progress {
+                    let done = done.fetch_add(1, Ordering::AcqRel) + 1;
+                    eprintln!("progress: {done}/{} ({})", indices.len(), labels[i]);
+                }
+                value
+            })
+        },
+        T::to_json,
+        |_, value| T::from_json(value),
+    )
 }
 
 #[cfg(test)]
@@ -731,6 +689,7 @@ mod tests {
     use super::*;
     use dvm_core::{page_table_study, run_graph_experiment, ExperimentConfig};
     use dvm_graph::{rmat, RmatParams};
+    use dvm_sim::DetRng;
 
     fn labeled(units: Vec<(usize, &str, Json)>) -> Vec<(usize, String, Json)> {
         units
@@ -879,6 +838,59 @@ mod tests {
             .contains("1 of 2"));
         // Empty set.
         assert!(merge_fragments(&[], "t", "smoke", 2).is_err());
+    }
+
+    #[test]
+    fn corrupted_fragments_decode_to_err_or_the_original_reports() {
+        // A rendered fragment of real reports goes through the farm
+        // client's decode path (UTF-8, parse, merge, report_from_json)
+        // after seeded bit flips or truncation. Every case must end in
+        // Err or in reports identical to the originals: a flipped digit
+        // still parses, so the fragment checksum has to catch it.
+        let graph = rmat(10, 4, RmatParams::default(), 3);
+        let workload = Workload::Bfs { root: 0 };
+        let schemes = [SchemeId::CONV_4K, SchemeId::DVM_PE_PLUS];
+        let want: Vec<Json> = schemes
+            .iter()
+            .map(|&mmu| {
+                let config = ExperimentConfig::for_mmu(mmu);
+                report_json(&run_graph_experiment(&workload, &graph, &config).unwrap())
+            })
+            .collect();
+        let labels = ["BFS/a".to_string(), "BFS/b".to_string()];
+        let units = (0..2)
+            .map(|i| (i, labels[i].clone(), want[i].clone()))
+            .collect();
+        let text = format!("{}\n", fragment_doc("fig8", "smoke", shard(0, 1), 2, units));
+        let decode = |bytes: &[u8]| -> Result<Vec<Json>, String> {
+            let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+            let frag = parse(text)?;
+            decode_fragments(&[frag], "fig8", "smoke", &labels, |i, value| {
+                report_from_json(value, schemes[i], &workload).map(|r| report_json(&r))
+            })
+        };
+        assert_eq!(decode(text.as_bytes()), Ok(want.clone()));
+        let mut rejected = 0;
+        for seed in 0..1000 {
+            let mut rng = DetRng::new(seed);
+            let mut bytes = text.clone().into_bytes();
+            if seed % 2 == 0 {
+                for _ in 0..=rng.below(3) {
+                    let at = rng.below(bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << rng.below(8);
+                }
+            } else {
+                bytes.truncate(rng.below(bytes.len() as u64) as usize);
+            }
+            match decode(&bytes) {
+                Ok(got) => assert_eq!(got, want, "seed {seed}: decoded to different reports"),
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            rejected > 900,
+            "only {rejected} of 1000 corruptions rejected"
+        );
     }
 
     #[test]

@@ -64,7 +64,6 @@ fn fig2_sharded_runs_match_serial_byte_for_byte() {
             .stderr(Stdio::piped())
             .spawn()
             .expect("binary ran");
-        let pid = child.id();
         let sharded = child.wait_with_output().expect("binary finished");
         let stderr = String::from_utf8_lossy(&sharded.stderr);
         assert!(
@@ -100,15 +99,7 @@ fn fig2_sharded_runs_match_serial_byte_for_byte() {
         let total = counts.len();
         let want: Vec<String> = (1..=total).map(|done| format!("{done}/{total}")).collect();
         assert_eq!(counts, want, "stderr:\n{stderr}");
-        // Nothing outlives the run: no staged fragment, no slice process.
-        let staged = format!("dvmfarm-{pid}-");
-        assert!(
-            !std::fs::read_dir(std::env::temp_dir())
-                .unwrap()
-                .flatten()
-                .any(|e| e.file_name().to_string_lossy().starts_with(&staged)),
-            "staged fragments outlived --shards {shards}"
-        );
+        // No slice process outlives the run.
         assert!(
             !any_process_mentions(cache.to_str().unwrap()),
             "slice processes outlived --shards {shards}"

@@ -143,10 +143,10 @@ pub fn run_graph_experiment(
             &mut dram,
         );
         let (g, sys, accel) = (&g, &mut sys, &config.accel);
-        // Builtin schemes run monomorphized (the registry's virtual call
+        // Every scheme runs monomorphized (the registry's virtual call
         // would otherwise keep the whole per-access path out of the
-        // inliner's reach); runtime-registered schemes take the dynamic
-        // path. Either way the executed scheme code is identical —
+        // inliner's reach); the dynamic arm only keeps the match total.
+        // Either way the executed scheme code is identical —
         // `dispatch::Dyn` is the oracle the static tokens are tested
         // against in `dvm-accel`.
         match config.mmu {

@@ -63,7 +63,7 @@ pub use dvm_cpu::{evaluate as evaluate_cpu, CpuModelConfig, CpuRunReport, CpuSch
 pub use dvm_energy::{EnergyAccount, EnergyParams, MmEvent};
 pub use dvm_graph::{Dataset, DatasetCache};
 pub use dvm_mem::{DramConfig, MachineConfig};
-pub use dvm_mmu::{register_scheme, SchemeId, SchemeStructures, TranslationScheme};
+pub use dvm_mmu::{SchemeId, SchemeStructures, TranslationScheme};
 pub use dvm_os::{
     ChurnConfig, ChurnEpoch, ChurnResult, MapFlavor, Os, OsConfig, ShbenchConfig, ShbenchResult,
 };

@@ -2,22 +2,16 @@
 //! `farmd: listening on <addr>` (scrape that when binding port 0), and
 //! serves jobs until killed.
 
-use dvm_farm::FarmConfig;
 use std::net::TcpListener;
 use std::process::exit;
-use std::time::Duration;
 
 const USAGE: &str = "\
 usage: farmd [options]
 
 options:
-  --listen ADDR             bind address (default 127.0.0.1:0; port 0
-                            picks a free port, printed on stderr)
-  --heartbeat-timeout SECS  drop workers silent this long (default 10)
-  --slice-timeout SECS      requeue slices running this long (default 600)
-  --retries N               attempts per slice before the job fails
-                            (default 3)
-  --help                    show this help
+  --listen ADDR   bind address (default 127.0.0.1:0; port 0 picks a
+                  free port, printed on stderr)
+  --help          show this help
 ";
 
 fn usage_err(msg: &str) -> ! {
@@ -28,32 +22,17 @@ fn usage_err(msg: &str) -> ! {
 
 fn main() {
     let mut listen = "127.0.0.1:0".to_string();
-    let mut cfg = FarmConfig::default();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        let mut value = |flag: &str| {
-            argv.next()
-                .unwrap_or_else(|| usage_err(&format!("{flag} needs a value")))
-        };
         match arg.as_str() {
             "--help" | "-h" => {
                 print!("{USAGE}");
                 exit(0);
             }
-            "--listen" => listen = value("--listen"),
-            "--heartbeat-timeout" => {
-                cfg.heartbeat_timeout =
-                    Duration::from_secs(parse_secs(&value("--heartbeat-timeout")))
-            }
-            "--slice-timeout" => {
-                cfg.slice_timeout = Duration::from_secs(parse_secs(&value("--slice-timeout")))
-            }
-            "--retries" => {
-                cfg.max_attempts = value("--retries")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| usage_err("--retries needs an integer >= 1"))
+            "--listen" => {
+                listen = argv
+                    .next()
+                    .unwrap_or_else(|| usage_err("--listen needs a value"))
             }
             other => usage_err(&format!("unknown argument '{other}'")),
         }
@@ -62,16 +41,8 @@ fn main() {
         eprintln!("farmd: cannot bind {listen}: {err}");
         exit(1);
     });
-    if let Err(err) = dvm_farm::serve(listener, cfg) {
+    if let Err(err) = dvm_farm::serve(listener) {
         eprintln!("farmd: {err}");
         exit(1);
     }
-}
-
-fn parse_secs(value: &str) -> u64 {
-    value
-        .parse()
-        .ok()
-        .filter(|n| *n >= 1)
-        .unwrap_or_else(|| usage_err("timeouts need an integer number of seconds >= 1"))
 }

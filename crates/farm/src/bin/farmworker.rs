@@ -1,11 +1,12 @@
 //! `farmworker` — a sweep-farm worker. Registers with a coordinator and
 //! runs the shard slices it is handed by spawning bench binaries from
 //! `--bin-dir`, until the coordinator dismisses it or the link drops.
+//! The initial connect is retried for 10 s, so scripts may start workers
+//! before `farmd` is listening.
 
 use dvm_farm::WorkerConfig;
 use std::path::PathBuf;
 use std::process::exit;
-use std::time::Duration;
 
 const USAGE: &str = "\
 usage: farmworker --connect HOST:PORT --bin-dir DIR [options]
@@ -17,8 +18,6 @@ options:
                         (default worker-<pid>)
   --cache-dir DIR       local dataset cache (overrides the job's)
   --report-cache DIR    local report cache (overrides the job's)
-  --scratch DIR         fragment staging directory (default: temp dir)
-  --connect-wait SECS   retry the initial connect this long (default 10)
   --help                show this help
 ";
 
@@ -34,8 +33,6 @@ fn main() {
     let mut name = format!("worker-{}", std::process::id());
     let mut cache_dir = None;
     let mut report_cache = None;
-    let mut scratch = std::env::temp_dir();
-    let mut connect_wait = Duration::from_secs(10);
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut value = |flag: &str| {
@@ -52,14 +49,6 @@ fn main() {
             "--name" => name = value("--name"),
             "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir"))),
             "--report-cache" => report_cache = Some(PathBuf::from(value("--report-cache"))),
-            "--scratch" => scratch = PathBuf::from(value("--scratch")),
-            "--connect-wait" => {
-                connect_wait = Duration::from_secs(
-                    value("--connect-wait")
-                        .parse()
-                        .unwrap_or_else(|_| usage_err("--connect-wait needs an integer")),
-                )
-            }
             other => usage_err(&format!("unknown argument '{other}'")),
         }
     }
@@ -81,8 +70,6 @@ fn main() {
         name,
         cache_dir,
         report_cache,
-        scratch,
-        connect_wait,
     };
     if let Err(err) = dvm_farm::run_worker(&cfg) {
         eprintln!("farmworker[{}]: {err}", cfg.name);

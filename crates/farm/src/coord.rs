@@ -1,6 +1,6 @@
 //! The coordinator (`farmd`): accepts sweep jobs from clients, dispatches
 //! shard slices to registered workers, tracks liveness via heartbeats,
-//! requeues slices from dead or slow workers (bounded retry with
+//! requeues slices from dead or failing workers (bounded retry with
 //! exponential backoff), aggregates per-worker progress streams into one
 //! done/total counter, and streams completed fragments back to the
 //! client — which merges them through the ordinary shard-merge path, so
@@ -10,6 +10,10 @@
 //! all of them funnel into one `Mutex<State>`. Writes to any peer go
 //! through a per-socket mutex ([`Peer`]), one whole frame per lock, so
 //! frames never interleave.
+//!
+//! There are no tuning knobs. A slice runs on one worker until that
+//! worker reports `DONE` or `FAIL`, or goes silent; however long it
+//! takes, it is never handed to a second worker.
 
 use crate::proto::{
     emit_stderr_line, is_token, parse_hello, progress_label, read_frame, truncate_line,
@@ -23,32 +27,16 @@ use std::time::{Duration, Instant};
 /// Upper bound on slices per job; merge cost is linear in this.
 pub const MAX_SLICES: usize = 4096;
 
-/// Coordinator tuning knobs (the `farmd` flags).
-#[derive(Debug, Clone)]
-pub struct FarmConfig {
-    /// A worker silent for longer than this is dead: its connection is
-    /// closed and its running slice requeued.
-    pub heartbeat_timeout: Duration,
-    /// A slice running longer than this on one worker is requeued to
-    /// another (the slow worker keeps running; the first finisher wins).
-    pub slice_timeout: Duration,
-    /// Total tries per slice before the whole job fails.
-    pub max_attempts: u32,
-    /// Base of the exponential reassignment backoff: retry `k` becomes
-    /// eligible `backoff_base * 2^(k-1)` after the failure.
-    pub backoff_base: Duration,
-}
+/// A worker silent for longer than this is dead: its connection is
+/// closed and its running slice requeued. Workers ping every second.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(10);
 
-impl Default for FarmConfig {
-    fn default() -> Self {
-        Self {
-            heartbeat_timeout: Duration::from_secs(10),
-            slice_timeout: Duration::from_secs(600),
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(500),
-        }
-    }
-}
+/// Total tries per slice before the whole job fails.
+const MAX_ATTEMPTS: u32 = 3;
+
+/// Base of the exponential reassignment backoff: retry `k` becomes
+/// eligible `BACKOFF_BASE * 2^(k-1)` after the failure.
+const BACKOFF_BASE: Duration = Duration::from_millis(500);
 
 /// The write half of a connection: one whole frame per lock acquisition.
 #[derive(Clone)]
@@ -79,7 +67,7 @@ impl Peer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SliceStatus {
     Pending,
-    Running { worker: u64, started_tick: u64 },
+    Running { worker: u64 },
     Done,
 }
 
@@ -116,37 +104,25 @@ struct Worker {
 }
 
 struct State {
-    cfg: FarmConfig,
     next_worker_id: u64,
     next_job_id: u64,
     next_client_id: u64,
     workers: Vec<Worker>,
     jobs: Vec<Job>,
-    /// Monotonic clock for slice-timeout bookkeeping, advanced by the
-    /// ticker; `Instant` math stays out of the hot matching code.
-    now: Instant,
 }
 
 fn log(msg: &str) {
     emit_stderr_line(&format!("farmd: {msg}"));
 }
 
-/// Whole milliseconds in `d`, saturating at `u64::MAX` so a huge
-/// `--slice-timeout` means "never" rather than wrapping to a tiny limit.
-fn millis(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
 impl State {
-    fn new(cfg: FarmConfig) -> Self {
+    fn new() -> Self {
         Self {
-            cfg,
             next_worker_id: 1,
             next_job_id: 1,
             next_client_id: 1,
             workers: Vec::new(),
             jobs: Vec::new(),
-            now: Instant::now(),
         }
     }
 
@@ -184,35 +160,26 @@ impl State {
         worker.peer.shutdown();
         log(&format!("worker '{}' lost: {reason}", worker.name));
         if let Some((job_id, slice)) = worker.running {
-            self.requeue(
-                job_id,
-                slice,
-                &format!("worker '{}' died", worker.name),
-                Some(id),
-            );
+            let reason = format!("worker '{}' died", worker.name);
+            self.requeue(job_id, slice, &reason, id);
         }
         self.dispatch();
     }
 
-    /// Put a slice back in the pending queue with backoff — unless it
-    /// already completed, its job is gone, or (when `expect_worker` is
-    /// given) it has since been handed to a different worker.
-    fn requeue(&mut self, job_id: u64, slice: usize, reason: &str, expect_worker: Option<u64>) {
-        let max_attempts = self.cfg.max_attempts;
-        let backoff_base = self.cfg.backoff_base;
+    /// Put a slice `worker` was running back in the pending queue with
+    /// backoff — unless it already completed, its job is gone, or it is
+    /// no longer running on `worker`.
+    fn requeue(&mut self, job_id: u64, slice: usize, reason: &str, worker: u64) {
         let Some(job) = self.job_mut(job_id) else {
             return;
         };
         let Some(s) = job.slice.get_mut(slice) else {
             return;
         };
-        match (s.status, expect_worker) {
-            (SliceStatus::Done, _) => return,
-            (SliceStatus::Running { worker, .. }, Some(expect)) if worker != expect => return,
-            (SliceStatus::Pending, Some(_)) => return,
-            _ => {}
+        if s.status != (SliceStatus::Running { worker }) {
+            return;
         }
-        if s.attempts >= max_attempts {
+        if s.attempts >= MAX_ATTEMPTS {
             let msg = format!(
                 "slice {slice} failed after {} attempts: {reason}",
                 s.attempts
@@ -223,7 +190,7 @@ impl State {
                 .send(&format!("JOBFAIL {}", job.id), msg.as_bytes());
             return;
         }
-        let backoff = backoff_base * 2u32.saturating_pow(s.attempts.saturating_sub(1));
+        let backoff = BACKOFF_BASE * 2u32.saturating_pow(s.attempts.saturating_sub(1));
         s.status = SliceStatus::Pending;
         s.eligible_at = Instant::now() + backoff;
         log(&format!(
@@ -267,12 +234,8 @@ impl State {
             if worker.peer.send(&header, &body) {
                 worker.idle = false;
                 worker.running = Some((job_id, sidx));
-                let tick = millis(self.now.elapsed());
                 let job = self.job_mut(job_id).expect("job still open");
-                job.slice[sidx].status = SliceStatus::Running {
-                    worker: worker_id,
-                    started_tick: tick,
-                };
+                job.slice[sidx].status = SliceStatus::Running { worker: worker_id };
                 log(&format!(
                     "job {job_id} slice {sidx}/{slices} -> worker '{worker_name}' (attempt {attempt})"
                 ));
@@ -331,7 +294,7 @@ impl State {
             }
         }
         let reason = format!("worker reported failure: {}", truncate_line(reason));
-        self.requeue(job_id, slice, &reason, Some(id));
+        self.requeue(job_id, slice, &reason, id);
         self.dispatch();
     }
 
@@ -440,42 +403,18 @@ impl State {
         }
     }
 
-    /// Periodic maintenance: expire silent workers, requeue slices that
-    /// outlived the slice timeout, purge finished jobs, dispatch.
+    /// Periodic maintenance: expire silent workers, purge finished jobs,
+    /// dispatch (slices whose retry backoff has run out become eligible).
     fn tick(&mut self) {
         let now = Instant::now();
         let stale: Vec<u64> = self
             .workers
             .iter()
-            .filter(|w| now.duration_since(w.last_seen) > self.cfg.heartbeat_timeout)
+            .filter(|w| now.duration_since(w.last_seen) > HEARTBEAT_TIMEOUT)
             .map(|w| w.id)
             .collect();
         for id in stale {
             self.drop_worker(id, "heartbeat timeout");
-        }
-        let now_tick = millis(self.now.elapsed());
-        let limit_ms = millis(self.cfg.slice_timeout);
-        let slow: Vec<(u64, usize, u64)> = self
-            .jobs
-            .iter()
-            .filter(|j| !j.closed)
-            .flat_map(|j| {
-                j.slice
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(sidx, s)| match s.status {
-                        SliceStatus::Running {
-                            worker,
-                            started_tick,
-                        } if now_tick.saturating_sub(started_tick) > limit_ms => {
-                            Some((j.id, sidx, worker))
-                        }
-                        _ => None,
-                    })
-            })
-            .collect();
-        for (job_id, sidx, worker) in slow {
-            self.requeue(job_id, sidx, "slice timeout", Some(worker));
         }
         self.jobs.retain(|j| !j.closed);
         self.dispatch();
@@ -490,10 +429,10 @@ impl State {
 ///
 /// Only if the listener's local address cannot be read; per-connection
 /// errors are handled (and logged) internally.
-pub fn serve(listener: TcpListener, cfg: FarmConfig) -> io::Result<()> {
+pub fn serve(listener: TcpListener) -> io::Result<()> {
     let local = listener.local_addr()?;
     log(&format!("listening on {local}"));
-    let state = Arc::new(Mutex::new(State::new(cfg)));
+    let state = Arc::new(Mutex::new(State::new()));
     {
         let state = Arc::clone(&state);
         std::thread::spawn(move || loop {
@@ -641,11 +580,22 @@ mod tests {
         frames
     }
 
+    /// Let `by` pass on the coordinator's clocks (retry backoffs run
+    /// out) while every connected worker keeps heartbeating.
+    fn elapse(st: &mut State, by: Duration) {
+        for slice in st.jobs.iter_mut().flat_map(|j| j.slice.iter_mut()) {
+            slice.eligible_at = slice
+                .eligible_at
+                .checked_sub(by)
+                .unwrap_or(slice.eligible_at);
+        }
+        for worker in &mut st.workers {
+            worker.last_seen = Instant::now();
+        }
+    }
+
     fn state_with_worker_and_job() -> (State, TcpStream, TcpStream) {
-        let mut st = State::new(FarmConfig {
-            backoff_base: Duration::from_millis(0),
-            ..FarmConfig::default()
-        });
+        let mut st = State::new();
         let (wpeer, wstream) = socket_pair();
         let (cpeer, cstream) = socket_pair();
         let wid = st.add_worker("w1".into(), wpeer, "test");
@@ -679,7 +629,7 @@ mod tests {
 
     #[test]
     fn zero_slices_means_one_per_live_worker_clamped_to_units() {
-        let mut st = State::new(FarmConfig::default());
+        let mut st = State::new();
         let (w1, _k1) = socket_pair();
         let (w2, _k2) = socket_pair();
         st.add_worker("w1".into(), w1, "test");
@@ -706,6 +656,7 @@ mod tests {
                 // Replacement worker picks the requeued slice up.
                 let (wpeer, _ws) = socket_pair();
                 let wid = st.add_worker("w-next".into(), wpeer, "test");
+                elapse(&mut st, BACKOFF_BASE * 4);
                 st.worker_ready(wid);
             }
         }
@@ -751,19 +702,46 @@ mod tests {
     }
 
     #[test]
-    fn huge_slice_timeouts_never_requeue_a_running_slice() {
-        // `farmd --slice-timeout 18446744073709552` passes flag parsing;
-        // its millisecond count overflows u64 and must saturate, not
-        // wrap to a 384 ms limit.
-        let (mut st, _wstream, _cstream) = state_with_worker_and_job();
-        st.cfg.slice_timeout = Duration::from_secs(18_446_744_073_709_552);
-        st.now -= Duration::from_secs(1);
-        st.tick();
-        let slice = &st.jobs[0].slice[0];
-        assert!(
-            matches!(slice.status, SliceStatus::Running { .. }) && slice.attempts == 1,
-            "{slice:?}"
-        );
+    fn long_slices_stay_on_their_worker_beside_idle_spares() {
+        // One slice runs for 66 minutes of ticks (more than three times
+        // the old 600 s straggler timeout) while two spare workers sit
+        // idle and every worker keeps heartbeating. It must never be
+        // handed to a spare, and the job must never fail.
+        let mut st = State::new();
+        let (w1, mut w1stream) = socket_pair();
+        let runner = st.add_worker("w1".into(), w1, "test");
+        let (cpeer, mut cstream) = socket_pair();
+        st.submit(1, &cpeer, &submit_frame("fig8", 1, 4));
+        st.worker_ready(runner);
+        let mut spares = Vec::new();
+        for name in ["w2", "w3"] {
+            let (peer, stream) = socket_pair();
+            let id = st.add_worker(name.into(), peer, "test");
+            st.worker_ready(id);
+            spares.push(stream);
+        }
+        for minute in (0..66).step_by(11) {
+            elapse(&mut st, Duration::from_secs(11 * 60));
+            st.tick();
+            let slice = &st.jobs[0].slice[0];
+            assert_eq!(
+                (slice.status, slice.attempts),
+                (SliceStatus::Running { worker: runner }, 1),
+                "minute {minute}"
+            );
+            assert!(!st.jobs[0].closed, "minute {minute}");
+        }
+        assert!(st.workers.iter().all(|w| w.id == runner || w.idle));
+        for spare in &mut spares {
+            assert!(drain_frames(spare).is_empty(), "a spare was dispatched");
+        }
+        assert_eq!(drain_frames(&mut w1stream).len(), 1, "slice re-dispatched");
+        st.worker_done(runner, 1, 0, b"frag".to_vec());
+        let headers: Vec<String> = drain_frames(&mut cstream)
+            .into_iter()
+            .map(|f| f.header)
+            .collect();
+        assert_eq!(headers, ["ACCEPT 1 1", "FRAG 0 1", "JOBDONE 1"]);
     }
 
     #[test]
@@ -782,7 +760,7 @@ mod tests {
 
     #[test]
     fn bad_submits_are_rejected_with_err() {
-        let mut st = State::new(FarmConfig::default());
+        let mut st = State::new();
         let (cpeer, mut cstream) = socket_pair();
         let bad = |header: &str| Frame {
             header: header.to_string(),

@@ -6,11 +6,11 @@
 //!
 //! - [`serve`] — the coordinator loop behind the `farmd` binary:
 //!   accepts jobs, dispatches shard slices to registered workers,
-//!   requeues slices from dead/slow workers with bounded backoff, and
-//!   aggregates progress.
+//!   requeues slices from dead or failing workers with bounded backoff,
+//!   and aggregates progress.
 //! - [`run_worker`] — the `farmworker` loop: runs slices by spawning
-//!   the named bench binary with `--shard I/N --shard-out`, streaming
-//!   stderr back and shipping the fragment file as one frame.
+//!   the named bench binary with `--shard I/N`, streaming its stderr
+//!   back and shipping the fragment it prints on stdout as one frame.
 //! - [`run_job`] — the client call the bench binaries make under
 //!   `--farm host:port`; returns fragment bytes in slice order for the
 //!   ordinary shard-merge path, keeping farm output byte-identical to a
@@ -30,6 +30,6 @@ pub mod proto;
 pub mod worker;
 
 pub use client::{run_job, JobEvent, JobRequest};
-pub use coord::{serve, FarmConfig, MAX_SLICES};
+pub use coord::{serve, MAX_SLICES};
 pub use proto::{emit_stderr_line, truncate_line, version_token, MAX_LINE};
 pub use worker::{run_worker, WorkerConfig};

@@ -1,19 +1,21 @@
 //! The farm wire protocol: length-prefixed frames over std TCP.
 //!
 //! Every message is one **frame**: an ASCII decimal payload length, a
+//! space, the payload's FNV-1a-64 checksum as 16 hex digits, a
 //! newline, then exactly that many payload bytes. The payload's first
 //! line is the **header** (a verb plus space-separated arguments); the
 //! bytes after the header's newline are the opaque **body** (a shard
 //! fragment, a relayed stderr line, an error message). Length prefixing
-//! is what makes fragment transfer tear-proof: a frame either arrives
-//! whole or the connection errors — there is no way to observe half a
-//! fragment.
+//! is what makes fragment transfer tear-proof, and the checksum makes it
+//! corruption-proof: a frame either arrives whole and intact or reading
+//! it is an error — there is no way to observe half a fragment or a
+//! damaged one.
 //!
 //! The first frame on every connection is the versioned handshake: the
 //! connecting peer sends `HELLO dvmfarm/<version> <role> <name>` and the
 //! coordinator answers `OLEH dvmfarm/<version> farmd` — or `ERR` with a
-//! reason, including a version mismatch. Version 1 requires an exact
-//! match; there is no downgrade negotiation.
+//! reason, including a version mismatch. Versions must match exactly;
+//! there is no downgrade negotiation.
 //!
 //! See DESIGN.md §7 "Sweep farm" for the full verb table and failure
 //! modes.
@@ -24,11 +26,22 @@ use std::io::{self, Read, Write};
 pub const MAGIC: &str = "dvmfarm";
 
 /// Protocol version spoken by this build. Peers must match exactly.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Version 2 added the payload checksum to the length line.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard cap on one frame's payload, defending both sides against a
 /// garbage length prefix. Fragments are a few MiB at worst.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// FNV-1a-64 of the concatenated `parts`: the frame checksum.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    parts
+        .iter()
+        .flat_map(|p| p.iter())
+        .fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
 
 /// Cap on relayed stderr lines (progress, cache stats): longer lines are
 /// truncated at a char boundary before they are framed or printed, so a
@@ -83,11 +96,8 @@ pub fn write_frame(w: &mut impl Write, header: &str, body: &[u8]) -> io::Result<
             format!("frame of {payload_len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut buf = Vec::with_capacity(payload_len + 12);
-    buf.extend_from_slice(payload_len.to_string().as_bytes());
-    buf.push(b'\n');
-    buf.extend_from_slice(header.as_bytes());
-    buf.push(b'\n');
+    let sum = fnv1a(&[header.as_bytes(), b"\n", body]);
+    let mut buf = format!("{payload_len} {sum:016x}\n{header}\n").into_bytes();
     buf.extend_from_slice(body);
     w.write_all(&buf)?;
     w.flush()
@@ -97,8 +107,9 @@ pub fn write_frame(w: &mut impl Write, header: &str, body: &[u8]) -> io::Result<
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` on a cleanly closed connection, `InvalidData` on a
-/// malformed or oversized length prefix, otherwise the stream's error.
+/// `UnexpectedEof` on a closed connection (cleanly, or mid-frame),
+/// `InvalidData` on a malformed or oversized length line or a checksum
+/// mismatch, otherwise the stream's error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
     let mut first = [0u8; 1];
     r.read_exact(&mut first)?;
@@ -119,7 +130,7 @@ pub fn read_frame_resume(first: u8, r: &mut impl Read) -> io::Result<Frame> {
     let mut byte = first;
     loop {
         match byte {
-            b'\n' if digits > 0 => break,
+            b' ' if digits > 0 => break,
             b'0'..=b'9' if digits < 9 => {
                 len = len * 10 + usize::from(byte - b'0');
                 digits += 1;
@@ -133,8 +144,23 @@ pub fn read_frame_resume(first: u8, r: &mut impl Read) -> io::Result<Frame> {
     if len == 0 || len > MAX_FRAME {
         return Err(bad("frame length out of range"));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut sum_line = [0u8; 17];
+    r.read_exact(&mut sum_line)?;
+    let sum = std::str::from_utf8(&sum_line[..16])
+        .ok()
+        .filter(|_| sum_line[16] == b'\n')
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| bad("malformed frame checksum"))?;
+    // Grow the buffer only as bytes arrive: a lying length prefix costs
+    // what the peer actually sent, not `len`.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    if fnv1a(&[&payload]) != sum {
+        return Err(bad("frame checksum mismatch"));
+    }
     let split = payload
         .iter()
         .position(|&b| b == b'\n')
@@ -283,11 +309,15 @@ mod tests {
     #[test]
     fn malformed_lengths_are_rejected() {
         for wire in [
-            &b"x5\nHELLO"[..],
-            b"\nHELLO",
-            b"9999999999\nHELLO",
-            b"0\n",
-            b"123456789012\nH",
+            &b"x5 0000000000000000\nHELLO"[..],
+            b" 0000000000000000\nHELLO",
+            b"9999999999 0000000000000000\nHELLO",
+            b"0 0000000000000000\n",
+            b"123456789012 0000000000000000\nH",
+            b"5\nHELLO",
+            b"5 00000000000000\nHELLO",
+            b"5 000000000000000G\nHELLO",
+            b"5 0000000000000000\nHELLO",
         ] {
             let err = read_frame(&mut &wire[..]).unwrap_err();
             assert!(
@@ -304,21 +334,21 @@ mod tests {
 
     #[test]
     fn handshake_versions_must_match_exactly() {
-        let ok = parse_hello("HELLO dvmfarm/1 worker w1").unwrap();
+        let ok = parse_hello("HELLO dvmfarm/2 worker w1").unwrap();
         assert_eq!(ok.role, "worker");
         assert_eq!(ok.name, "w1");
-        assert!(parse_hello("HELLO dvmfarm/2 worker w1")
+        assert!(parse_hello("HELLO dvmfarm/1 worker w1")
             .unwrap_err()
             .contains("version mismatch"));
         assert!(parse_hello("HELLO otherproto/1 worker w1")
             .unwrap_err()
             .contains("not a dvmfarm peer"));
-        assert!(parse_hello("HELLO dvmfarm/1 gardener w1")
+        assert!(parse_hello("HELLO dvmfarm/2 gardener w1")
             .unwrap_err()
             .contains("unknown role"));
-        assert!(parse_hello("HELLO dvmfarm/1 worker").is_err());
-        assert!(parse_hello("HELLO dvmfarm/1 worker bad name").is_err());
-        assert_eq!(version_token(), "dvmfarm/1");
+        assert!(parse_hello("HELLO dvmfarm/2 worker").is_err());
+        assert!(parse_hello("HELLO dvmfarm/2 worker bad name").is_err());
+        assert_eq!(version_token(), "dvmfarm/2");
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! The worker (`farmworker`): registers with a coordinator, runs the
 //! shard slices it is handed by spawning the named bench binary with
-//! `--shard I/N --shard-out <tmp>`, relays the child's stderr lines as
-//! `PROG` frames, and ships the finished fragment file back as one
+//! `--shard I/N`, relays the child's stderr lines as `PROG` frames, and
+//! ships the fragment document the child prints on stdout back as one
 //! `DONE` frame. Heartbeats (`PING`) flow every second, including while
 //! idle, so the coordinator can tell a slow worker from a dead one.
 
 use crate::proto::{
-    emit_stderr_line, is_token, read_frame_resume, truncate_line, version_token, write_frame,
-    Frame, MAGIC,
+    emit_stderr_line, is_token, read_frame, read_frame_resume, truncate_line, version_token,
+    write_frame, Frame, MAGIC, MAX_FRAME,
 };
 use std::io::{self, BufRead, BufReader, ErrorKind, Read};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -29,26 +29,22 @@ pub struct WorkerConfig {
     pub cache_dir: Option<PathBuf>,
     /// Local report cache; overrides the job's `--report-cache` value.
     pub report_cache: Option<PathBuf>,
-    /// Where fragment files are staged between child exit and `DONE`.
-    pub scratch: PathBuf,
-    /// Keep retrying the initial connect for this long (lets scripts
-    /// start workers before — or while — `farmd` comes up).
-    pub connect_wait: Duration,
 }
+
+/// How long the initial connect is retried (lets scripts start workers
+/// before — or while — `farmd` comes up).
+const CONNECT_WAIT: Duration = Duration::from_secs(10);
 
 fn log(name: &str, msg: &str) {
     emit_stderr_line(&format!("farmworker[{name}]: {msg}"));
 }
 
-fn connect_with_retry(addr: &str, wait: Duration) -> io::Result<TcpStream> {
-    let deadline = Instant::now() + wait;
+fn connect_with_retry(addr: &str) -> io::Result<TcpStream> {
+    let deadline = Instant::now() + CONNECT_WAIT;
     loop {
         match TcpStream::connect(addr) {
             Ok(stream) => return Ok(stream),
-            Err(err) if Instant::now() < deadline => {
-                let _ = err;
-                std::thread::sleep(Duration::from_millis(250));
-            }
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(250)),
             Err(err) => return Err(err),
         }
     }
@@ -82,14 +78,8 @@ fn read_frame_idle(reader: &mut BufReader<TcpStream>, writer: &TcpStream) -> io:
 /// directories when configured (replacing the submitted value, or
 /// appending the flag if the job didn't pass one), force `--progress` so
 /// the coordinator can aggregate, and append the shard assignment.
-fn slice_argv(
-    argv: &[String],
-    cfg: &WorkerConfig,
-    slice: usize,
-    count: usize,
-    fragment: &Path,
-) -> Vec<String> {
-    let mut out: Vec<String> = Vec::with_capacity(argv.len() + 6);
+fn slice_argv(argv: &[String], cfg: &WorkerConfig, slice: usize, count: usize) -> Vec<String> {
+    let mut out: Vec<String> = Vec::with_capacity(argv.len() + 4);
     let overrides: [(&str, Option<&PathBuf>); 2] = [
         ("--cache-dir", cfg.cache_dir.as_ref()),
         ("--report-cache", cfg.report_cache.as_ref()),
@@ -120,8 +110,6 @@ fn slice_argv(
     }
     out.push("--shard".to_string());
     out.push(format!("{slice}/{count}"));
-    out.push("--shard-out".to_string());
-    out.push(fragment.display().to_string());
     out
 }
 
@@ -136,37 +124,58 @@ fn run_slice(
     argv: &[String],
 ) -> io::Result<Result<Vec<u8>, String>> {
     let exe = cfg.bin_dir.join(bin);
-    let fragment = cfg.scratch.join(format!(
-        "dvmfarm-{}-j{job}-s{slice}.json",
-        std::process::id()
-    ));
-    let child_argv = slice_argv(argv, cfg, slice, count, &fragment);
+    let child_argv = slice_argv(argv, cfg, slice, count);
     log(
         &cfg.name,
         &format!("job {job} slice {slice}/{count}: {}", exe.display()),
     );
     let mut child = match Command::new(&exe)
         .args(&child_argv)
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
     {
         Ok(child) => child,
         Err(err) => return Ok(Err(format!("spawn {} failed: {err}", exe.display()))),
     };
-    let status = relay_child(writer, &mut child, job, slice)?;
-    let outcome = if status.success() {
-        match std::fs::read(&fragment) {
-            Ok(bytes) => Ok(bytes),
-            Err(err) => Err(format!("fragment {} unreadable: {err}", fragment.display())),
-        }
-    } else {
-        Err(format!(
+    // A fragment can exceed the pipe buffer, so stdout drains on its own
+    // thread while this one relays stderr.
+    let stdout = child.stdout.take().expect("stdout was piped");
+    let drain = std::thread::spawn(move || read_capped(stdout, MAX_FRAME));
+    let status = relay_child(writer, &mut child, job, slice);
+    if status.is_err() {
+        // The coordinator link broke: stop the child so the drain ends.
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    let fragment = drain.join().expect("stdout drain panicked");
+    let status = status?;
+    if !status.success() {
+        return Ok(Err(format!(
             "{bin} --shard {slice}/{count} exited with {status}"
-        ))
-    };
-    let _ = std::fs::remove_file(&fragment);
-    Ok(outcome)
+        )));
+    }
+    Ok(match fragment {
+        Ok(bytes) if done_header(job, slice).len() + 1 + bytes.len() > MAX_FRAME => {
+            Err(format!("fragment exceeds the {MAX_FRAME}-byte frame cap"))
+        }
+        Ok(bytes) => Ok(bytes),
+        Err(err) => Err(format!("reading the fragment from stdout failed: {err}")),
+    })
+}
+
+fn done_header(job: u64, slice: usize) -> String {
+    format!("DONE {job} {slice}")
+}
+
+/// Read a child's stdout to EOF, keeping at most `cap + 1` bytes (enough
+/// to tell an oversized fragment): the rest is discarded so it cannot
+/// balloon worker memory, yet the child never blocks on a full pipe.
+fn read_capped(mut stdout: impl Read, cap: usize) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    (&mut stdout).take(cap as u64 + 1).read_to_end(&mut bytes)?;
+    io::copy(&mut stdout, &mut io::sink())?;
+    Ok(bytes)
 }
 
 /// Pump the child's stderr to the coordinator as `PROG` frames while
@@ -193,16 +202,7 @@ fn relay_child(
     let mut last_ping = Instant::now();
     let status = loop {
         match rx.recv_timeout(Duration::from_millis(200)) {
-            Ok(line) => {
-                if let Err(err) =
-                    write_frame(&mut &*writer, &header, truncate_line(&line).as_bytes())
-                {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    let _ = pump.join();
-                    return Err(err);
-                }
-            }
+            Ok(line) => write_frame(&mut &*writer, &header, truncate_line(&line).as_bytes())?,
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 // stderr closed; the child is exiting — collect it.
@@ -241,7 +241,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<()> {
             format!("worker name '{}' is not a plain token", cfg.name),
         ));
     }
-    let stream = connect_with_retry(&cfg.addr, cfg.connect_wait)?;
+    let stream = connect_with_retry(&cfg.addr)?;
     stream.set_nodelay(true)?;
     let writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
@@ -250,14 +250,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<()> {
         &format!("HELLO {} worker {}", version_token(), cfg.name),
         b"",
     )?;
-    let oleh = read_frame_resume(
-        {
-            let mut first = [0u8; 1];
-            reader.read_exact(&mut first)?;
-            first[0]
-        },
-        &mut reader,
-    )?;
+    let oleh = read_frame(&mut reader)?;
     if oleh.verb() != "OLEH" {
         return Err(io::Error::new(
             ErrorKind::ConnectionRefused,
@@ -316,7 +309,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<()> {
                 let outcome = run_slice(cfg, &writer, job, slice, count, bin, &argv)?;
                 match outcome {
                     Ok(bytes) => {
-                        write_frame(&mut &writer, &format!("DONE {job} {slice}"), &bytes)?;
+                        write_frame(&mut &writer, &done_header(job, slice), &bytes)?;
                         log(
                             &cfg.name,
                             &format!("job {job} slice {slice} done ({} bytes)", bytes.len()),
@@ -355,13 +348,20 @@ mod tests {
             name: "w1".into(),
             cache_dir: cache.map(PathBuf::from),
             report_cache: report.map(PathBuf::from),
-            scratch: PathBuf::from("/tmp"),
-            connect_wait: Duration::from_secs(0),
         }
     }
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    #[test]
+    fn stdout_drains_whole_but_keeps_at_most_one_byte_past_the_cap() {
+        let fragment = b"{\"kind\": \"shard-fragment\"}\n";
+        assert_eq!(read_capped(&fragment[..], 64).unwrap(), fragment);
+        let mut long = io::repeat(b'x').take(1 << 20);
+        assert_eq!(read_capped(&mut long, 64).unwrap().len(), 65);
+        assert_eq!(long.limit(), 0, "the rest was drained");
     }
 
     #[test]
@@ -371,7 +371,6 @@ mod tests {
             &cfg(None, None),
             1,
             4,
-            Path::new("/tmp/frag.json"),
         );
         assert_eq!(
             got,
@@ -383,8 +382,6 @@ mod tests {
                 "--progress",
                 "--shard",
                 "1/4",
-                "--shard-out",
-                "/tmp/frag.json",
             ])
         );
     }
@@ -396,7 +393,6 @@ mod tests {
             &cfg(Some("/ours"), Some("/ours-reports")),
             0,
             2,
-            Path::new("f.json"),
         );
         assert_eq!(
             got,
@@ -410,21 +406,13 @@ mod tests {
                 "/ours-reports",
                 "--shard",
                 "0/2",
-                "--shard-out",
-                "f.json",
             ])
         );
     }
 
     #[test]
     fn slice_argv_keeps_job_caches_when_worker_has_none() {
-        let got = slice_argv(
-            &strs(&["--cache-dir", "/theirs"]),
-            &cfg(None, None),
-            0,
-            1,
-            Path::new("f.json"),
-        );
+        let got = slice_argv(&strs(&["--cache-dir", "/theirs"]), &cfg(None, None), 0, 1);
         assert_eq!(got[..2], strs(&["--cache-dir", "/theirs"])[..]);
     }
 }

@@ -59,10 +59,9 @@ fn run(exe: &Path, args: &[&str]) -> Output {
 
 /// Start `farmd --listen 127.0.0.1:0`, collect its stderr lines into a
 /// shared log, and return (child, address, log).
-fn start_farmd(extra: &[&str]) -> (Child, String, Arc<Mutex<Vec<String>>>) {
+fn start_farmd() -> (Child, String, Arc<Mutex<Vec<String>>>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_farmd"))
         .args(["--listen", "127.0.0.1:0"])
-        .args(extra)
         .stderr(Stdio::piped())
         .spawn()
         .expect("farmd spawned");
@@ -100,7 +99,7 @@ fn wait_for_line(log: &Mutex<Vec<String>>, needle: &str, timeout: Duration) -> O
     None
 }
 
-fn start_worker(addr: &str, name: &str, bins: &Path, scratch: &Path) -> Child {
+fn start_worker(addr: &str, name: &str, bins: &Path) -> Child {
     Command::new(env!("CARGO_BIN_EXE_farmworker"))
         .args([
             "--connect",
@@ -109,8 +108,6 @@ fn start_worker(addr: &str, name: &str, bins: &Path, scratch: &Path) -> Child {
             name,
             "--bin-dir",
             bins.to_str().unwrap(),
-            "--scratch",
-            scratch.to_str().unwrap(),
         ])
         .stderr(Stdio::null())
         .spawn()
@@ -137,10 +134,10 @@ fn farm_run_is_byte_identical_to_serial() {
     let dir = scratch("loopback");
     let (serial, serial_json) = fig2_serial(&fig2, &dir);
 
-    let (farmd, addr, log) = start_farmd(&[]);
+    let (farmd, addr, log) = start_farmd();
     let mut reap = Reap(vec![farmd]);
-    reap.0.push(start_worker(&addr, "w1", &bin_dir(), &dir));
-    reap.0.push(start_worker(&addr, "w2", &bin_dir(), &dir));
+    reap.0.push(start_worker(&addr, "w1", &bin_dir()));
+    reap.0.push(start_worker(&addr, "w2", &bin_dir()));
     wait_for_line(&log, "(id 2)", Duration::from_secs(30)).expect("both workers registered");
 
     // Default slicing: one slice per connected worker.
@@ -208,18 +205,12 @@ fn killing_a_worker_mid_slice_requeues_and_stays_byte_identical() {
     // requeued slice then runs on w1 with the real binary, so the final
     // output must still be byte-identical.
     let decoy_dir = dir.join("decoy-bins");
-    std::fs::create_dir_all(&decoy_dir).unwrap();
-    let decoy = decoy_dir.join("fig2");
-    std::fs::write(&decoy, "#!/bin/sh\nsleep 120\n").unwrap();
-    {
-        use std::os::unix::fs::PermissionsExt as _;
-        std::fs::set_permissions(&decoy, std::fs::Permissions::from_mode(0o755)).unwrap();
-    }
+    decoy_fig2(&decoy_dir, "#!/bin/sh\nsleep 120\n");
 
-    let (farmd, addr, log) = start_farmd(&[]);
+    let (farmd, addr, log) = start_farmd();
     let mut reap = Reap(vec![farmd]);
-    reap.0.push(start_worker(&addr, "w1", &bin_dir(), &dir));
-    let w2 = start_worker(&addr, "w2", &decoy_dir, &dir);
+    reap.0.push(start_worker(&addr, "w1", &bin_dir()));
+    let w2 = start_worker(&addr, "w2", &decoy_dir);
     reap.0.push(w2);
     // Default slicing counts the workers registered at submission.
     wait_for_line(&log, "(id 2)", Duration::from_secs(30)).expect("both workers registered");
@@ -255,6 +246,51 @@ fn killing_a_worker_mid_slice_requeues_and_stays_byte_identical() {
         log.contains("requeued (worker 'w2' died)"),
         "farmd log never recorded the requeue:\n{log}"
     );
+    drop(reap);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Write an executable `fig2` shell script into `dir`.
+#[cfg(unix)]
+fn decoy_fig2(dir: &Path, script: &str) {
+    use std::os::unix::fs::PermissionsExt as _;
+    std::fs::create_dir_all(dir).unwrap();
+    let decoy = dir.join("fig2");
+    std::fs::write(&decoy, script).unwrap();
+    std::fs::set_permissions(&decoy, std::fs::Permissions::from_mode(0o755)).unwrap();
+}
+
+#[test]
+#[cfg(unix)]
+fn an_oversized_fragment_fails_the_slice_not_the_worker() {
+    let Some(fig2) = fig2_exe() else {
+        eprintln!("skipping: fig2 not built next to farmd (run a workspace build first)");
+        return;
+    };
+    // The decoy prints a 64 MiB "fragment": with its DONE header it
+    // cannot fit in one frame. The worker must report FAIL (the job
+    // fails after its retries) and stay registered, rather than drop
+    // the coordinator link.
+    let dir = scratch("oversize");
+    let decoy_dir = dir.join("decoy-bins");
+    decoy_fig2(&decoy_dir, "#!/bin/sh\nhead -c 67108864 /dev/zero\n");
+    let (farmd, addr, log) = start_farmd();
+    let mut reap = Reap(vec![farmd]);
+    reap.0.push(start_worker(&addr, "w1", &decoy_dir));
+    wait_for_line(&log, "(id 1)", Duration::from_secs(30)).expect("worker registered");
+    let out = Command::new(&fig2)
+        .args(FIG2_ARGS)
+        .args(["--farm", &addr])
+        .output()
+        .expect("fig2 ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("failed after 3 attempts") && stderr.contains("frame cap"),
+        "stderr:\n{stderr}"
+    );
+    let log = log.lock().unwrap().join("\n");
+    assert!(!log.contains("lost"), "the worker link broke:\n{log}");
     drop(reap);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! Hardware memory-management models: TLBs, page-walk caches, the Access
 //! Validation Cache, and the IOMMU driving a pluggable
 //! [`TranslationScheme`] — the paper's seven memory-management
-//! configurations plus any scheme registered at runtime.
+//! configurations plus two rival shared-virtual-addressing designs.
 //!
 //! The flow mirrors the paper's Figure 1: accelerator accesses arrive at
 //! the [`Iommu`], which dispatches into its configured scheme — either
@@ -48,7 +48,5 @@ pub use memo::TranslationMemo;
 pub use memsys::MemSystem;
 pub use nested::{NestedScheme, NestedTranslation, NestedWalker};
 pub use ptcache::{PtCache, PtCacheConfig, PtcLookup};
-pub use scheme::{
-    dispatch, register_scheme, SchemeDispatch, SchemeId, SchemeStructures, TranslationScheme,
-};
+pub use scheme::{dispatch, SchemeDispatch, SchemeId, SchemeStructures, TranslationScheme};
 pub use tlb::{Associativity, Tlb, TlbConfig, TlbEntry};

@@ -1,13 +1,13 @@
-//! Pluggable translation schemes and the scheme registry.
+//! Translation schemes and the scheme registry.
 //!
-//! The paper's seven configurations (Figure 8) used to be a closed enum;
-//! they are now implementations of [`TranslationScheme`], registered in a
-//! process-wide table next to two rival shared-virtual-addressing designs
-//! from the literature. Each scheme owns its display name, the leaf page
-//! size the OS must map for it, its hardware structures (TLB / page-walk
-//! cache / bitmap cache), and the per-access validate/translate path;
+//! The paper's seven configurations (Figure 8) are implementations of
+//! [`TranslationScheme`], listed in one static table next to two rival
+//! shared-virtual-addressing designs from the literature. Each scheme
+//! owns its display name, the leaf page size the OS must map for it, its
+//! hardware structures (TLB / page-walk cache / bitmap cache), and the
+//! per-access validate/translate path;
 //! [`Iommu`](crate::Iommu) is a thin driver that dispatches into the
-//! scheme. A [`SchemeId`] is a cheap copyable handle into the registry —
+//! scheme. A [`SchemeId`] is a cheap copyable index into that table —
 //! the currency every layer above `dvm-mmu` trades in.
 //!
 //! | name | structures | behaviour |
@@ -20,8 +20,10 @@
 //! | `SVA-Pf` | 128-entry FA TLB + 1 KiB PWC | 4K SVA with next-page TLB prefetch (Kurth et al.) |
 //! | `SVA-IOMMU` | 64-entry 8-way TLB + 1 KiB PWC | RISC-V-style IOMMU SVA with a device-context fetch (Koenig et al.) |
 //!
-//! New schemes register at runtime with [`register_scheme`]; see
-//! DESIGN.md, "Adding a translation scheme".
+//! The table is closed: a new scheme is added in this file (DESIGN.md,
+//! "Adding a translation scheme"). Bench binaries and farm workers are
+//! separate processes, so a scheme registered at runtime by one of them
+//! could never reach the others anyway.
 
 use crate::iommu::{AccessCtx, Iommu, Validation};
 use crate::ptcache::PtCacheConfig;
@@ -30,7 +32,6 @@ use core::fmt;
 use dvm_energy::MmEvent;
 use dvm_pagetable::{WalkOutcome, VA_LIMIT};
 use dvm_types::{AccessKind, Fault, FaultKind, PageSize, PhysAddr, VirtAddr};
-use std::sync::{OnceLock, RwLock};
 
 /// Hardware structures a scheme asks the [`Iommu`] to instantiate.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,8 +48,8 @@ pub struct SchemeStructures {
 ///
 /// Implementations are stateless: all mutable per-run state (TLB, caches,
 /// scratch words, statistics, energy) lives in the [`Iommu`] handed to
-/// [`access`](Self::access). That keeps a registered scheme a plain
-/// `&'static` object shared by every concurrent sweep unit.
+/// [`access`](Self::access). That keeps every scheme a plain `&'static`
+/// object shared by every concurrent sweep unit.
 pub trait TranslationScheme: fmt::Debug + Send + Sync {
     /// Display name; unique within the registry (used by CLI filters,
     /// report-cache keys and result documents).
@@ -98,11 +99,11 @@ pub trait TranslationScheme: fmt::Debug + Send + Sync {
     ) -> Result<Validation, Fault>;
 }
 
-/// Handle to a registered [`TranslationScheme`].
+/// Handle to one of the builtin [`TranslationScheme`]s.
 ///
 /// Prints and parses as the scheme's registry name; the numeric index is
 /// an implementation detail (report-cache keys and result documents only
-/// ever see the name, so registration order can never alias cached data).
+/// ever see the name, so table order can never alias cached data).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchemeId(u16);
 
@@ -147,10 +148,9 @@ impl SchemeId {
         }
     }
 
-    /// The registered scheme object behind this id.
+    /// The scheme object behind this id.
     pub fn scheme(self) -> &'static dyn TranslationScheme {
-        let reg = registry().read().expect("scheme registry poisoned");
-        reg[self.0 as usize]
+        BUILTINS[self.0 as usize]
     }
 
     /// The scheme's registry (display) name.
@@ -168,16 +168,14 @@ impl SchemeId {
         self.scheme().needs_bitmap()
     }
 
-    /// Every registered scheme, in registration order (builtins first).
+    /// Every scheme, in table order.
     pub fn all() -> Vec<SchemeId> {
-        let reg = registry().read().expect("scheme registry poisoned");
-        (0..reg.len() as u16).map(SchemeId).collect()
+        (0..BUILTINS.len() as u16).map(SchemeId).collect()
     }
 
-    /// Every registered scheme name, in registration order.
+    /// Every scheme name, in table order.
     pub fn registered_names() -> Vec<&'static str> {
-        let reg = registry().read().expect("scheme registry poisoned");
-        reg.iter().map(|s| s.name()).collect()
+        BUILTINS.iter().map(|s| s.name()).collect()
     }
 
     /// Resolve a scheme name. Matching folds case and treats `-` as
@@ -197,8 +195,7 @@ impl SchemeId {
         if want.is_empty() {
             return None;
         }
-        let reg = registry().read().expect("scheme registry poisoned");
-        let names: Vec<String> = reg.iter().map(|s| canon(s.name())).collect();
+        let names: Vec<String> = BUILTINS.iter().map(|s| canon(s.name())).collect();
         if let Some(i) = names.iter().position(|n| *n == want) {
             return Some(SchemeId(i as u16));
         }
@@ -226,11 +223,6 @@ impl fmt::Display for SchemeId {
     }
 }
 
-fn registry() -> &'static RwLock<Vec<&'static dyn TranslationScheme>> {
-    static REGISTRY: OnceLock<RwLock<Vec<&'static dyn TranslationScheme>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(builtins()))
-}
-
 static CONV_4K_SCHEME: Conventional = Conventional {
     page_size: PageSize::Size4K,
 };
@@ -247,19 +239,18 @@ static IDEAL_SCHEME: Ideal = Ideal;
 static SVA_PF_SCHEME: SvaPf = SvaPf;
 static SVA_IOMMU_SCHEME: SvaIommu = SvaIommu;
 
-fn builtins() -> Vec<&'static dyn TranslationScheme> {
-    vec![
-        &CONV_4K_SCHEME,
-        &CONV_2M_SCHEME,
-        &CONV_1G_SCHEME,
-        &DVM_BM_SCHEME,
-        &DVM_PE_SCHEME,
-        &DVM_PE_PLUS_SCHEME,
-        &IDEAL_SCHEME,
-        &SVA_PF_SCHEME,
-        &SVA_IOMMU_SCHEME,
-    ]
-}
+/// The registry: every scheme, indexed by [`SchemeId`].
+static BUILTINS: [&dyn TranslationScheme; 9] = [
+    &CONV_4K_SCHEME,
+    &CONV_2M_SCHEME,
+    &CONV_1G_SCHEME,
+    &DVM_BM_SCHEME,
+    &DVM_PE_SCHEME,
+    &DVM_PE_PLUS_SCHEME,
+    &IDEAL_SCHEME,
+    &SVA_PF_SCHEME,
+    &SVA_IOMMU_SCHEME,
+];
 
 /// Statically resolved per-access dispatch.
 ///
@@ -273,9 +264,8 @@ fn builtins() -> Vec<&'static dyn TranslationScheme> {
 /// and the TLB/walker fast paths inline into the workload loops.
 ///
 /// [`dispatch::Dyn`] preserves the registry-driven virtual call and is
-/// the default everywhere; it is also the only correct choice for
-/// schemes registered at runtime. The sweep engine picks the matching
-/// static token for builtin schemes (see `dvm-core`).
+/// the default everywhere. The sweep engine picks the matching static
+/// token for each scheme (see `dvm-core`).
 pub trait SchemeDispatch: Copy + Send + Sync + 'static {
     /// Validate/translate one access exactly as the scheme the token
     /// stands for would.
@@ -292,7 +282,7 @@ pub trait SchemeDispatch: Copy + Send + Sync + 'static {
     ) -> Result<Validation, Fault>;
 }
 
-/// Zero-sized dispatch tokens: one per builtin scheme plus the dynamic
+/// Zero-sized dispatch tokens: one per scheme plus the dynamic
 /// fallback. See [`SchemeDispatch`].
 pub mod dispatch {
     use super::*;
@@ -378,32 +368,6 @@ pub mod dispatch {
         SvaIommu,
         SVA_IOMMU_SCHEME
     );
-}
-
-/// Register a new translation scheme; returns its [`SchemeId`].
-///
-/// The scheme is leaked into the registry for the life of the process
-/// (ids must stay valid in every `Iommu` already built from them).
-///
-/// # Errors
-///
-/// Rejects an empty name or one that collides (under the
-/// [`SchemeId::parse`] folding) with an already-registered scheme.
-pub fn register_scheme(scheme: Box<dyn TranslationScheme>) -> Result<SchemeId, String> {
-    let name = scheme.name();
-    if name.is_empty() {
-        return Err("scheme name must not be empty".into());
-    }
-    let mut reg = registry().write().expect("scheme registry poisoned");
-    let folded = |s: &str| s.replace(',', "-").to_ascii_lowercase();
-    if let Some(existing) = reg.iter().find(|s| folded(s.name()) == folded(name)) {
-        return Err(format!(
-            "scheme name '{name}' collides with registered scheme '{}'",
-            existing.name()
-        ));
-    }
-    reg.push(Box::leak(scheme));
-    Ok(SchemeId(reg.len() as u16 - 1))
 }
 
 /// Conventional VM: TLB + page-walk cache at a uniform page size.
@@ -1065,47 +1029,5 @@ mod tests {
             Some(PageSize::Size4K)
         );
         assert!(!SchemeId::SVA_PF.needs_bitmap());
-    }
-
-    #[derive(Debug)]
-    struct Toy(&'static str);
-
-    impl TranslationScheme for Toy {
-        fn name(&self) -> &'static str {
-            self.0
-        }
-        fn describe(&self) -> &'static str {
-            "toy"
-        }
-        fn structures(&self) -> SchemeStructures {
-            SchemeStructures::default()
-        }
-        fn access(
-            &self,
-            _iommu: &mut Iommu,
-            _ctx: &mut AccessCtx<'_>,
-            va: VirtAddr,
-            _kind: AccessKind,
-        ) -> Result<Validation, Fault> {
-            Ok(Validation {
-                pa: va.to_identity_pa(),
-                latency: 0,
-                overlap: false,
-                squashed_preload: false,
-            })
-        }
-    }
-
-    #[test]
-    fn registration_extends_the_registry_and_rejects_collisions() {
-        let id = register_scheme(Box::new(Toy("toy-registered"))).unwrap();
-        assert_eq!(id.name(), "toy-registered");
-        assert_eq!(SchemeId::parse("toy-registered"), Some(id));
-        assert!(SchemeId::all().contains(&id));
-        // Exact duplicate and comma/dash-folded collisions are rejected.
-        assert!(register_scheme(Box::new(Toy("toy-registered"))).is_err());
-        assert!(register_scheme(Box::new(Toy("ideal"))).is_err());
-        assert!(register_scheme(Box::new(Toy("4K-TLB+PWC"))).is_err());
-        assert!(register_scheme(Box::new(Toy(""))).is_err());
     }
 }

@@ -84,16 +84,22 @@ for _ in $(seq 1 100); do
 done
 [[ -n $FARM_ADDR ]] || { echo "farmd never printed its address" >&2; exit 1; }
 target/release/farmworker --connect "$FARM_ADDR" --name ci-w1 \
-    --bin-dir target/release --scratch "$SHARD_TMP" 2> /dev/null &
+    --bin-dir target/release 2> /dev/null &
 FARM_PIDS="$FARM_PIDS $!"
 target/release/farmworker --connect "$FARM_ADDR" --name ci-w2 \
-    --bin-dir target/release --scratch "$SHARD_TMP" 2> /dev/null &
+    --bin-dir target/release 2> /dev/null &
 FARM_PIDS="$FARM_PIDS $!"
 target/release/fig2 --scale quick --datasets FR --jobs 1 --shards 2 \
     --farm "$FARM_ADDR" --cache-dir "$SHARD_TMP/cache" \
     --json "$SHARD_TMP/farm.json" > "$SHARD_TMP/farm.txt"
 cmp "$SHARD_TMP/serial.txt" "$SHARD_TMP/farm.txt"
 cmp "$SHARD_TMP/serial.json" "$SHARD_TMP/farm.json"
+# A healthy two-worker run needs no retries: any requeue or failure in
+# the coordinator log fails the gate even when the bytes match.
+if grep -E 'requeued|failed' "$SHARD_TMP/farmd.log"; then
+    echo "farmd requeued or failed a slice in a healthy run" >&2
+    exit 1
+fi
 kill $FARM_PIDS 2> /dev/null || true
 FARM_PIDS=""
 echo "fig2 farm output is byte-identical to serial"
