@@ -1,9 +1,9 @@
 //! Figure 11 (extension): DVM versus shared-virtual-addressing rivals.
 //! Execution time normalized to Ideal for the 4K baseline, DVM-PE+, and
-//! the two registered SVA schemes — SVA-Pf (TLB-prefetching SVA, after
-//! Kurth et al.) and SVA-IOMMU (PCIe-style IOMMU with a context fetch,
-//! after Koenig et al.) — over the same workload × dataset grid as
-//! Figure 8.
+//! the two SVA schemes — SVA-Pf (TLB-prefetching SVA, after Kurth et
+//! al.) and SVA-IOMMU (RISC-V IOMMU with a 64-entry 8-way IOTLB and a
+//! one-time context fetch, after Koenig et al.) — over the same
+//! workload × dataset grid as Figure 8.
 //!
 //! ```text
 //! cargo run --release -p dvm-bench --bin fig11 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
@@ -75,6 +75,8 @@ fn main() {
     println!("{table}");
     println!("expected: SVA-Pf's next-page prefetch helps streaming workloads (CF)");
     println!("but wastes walker and DRAM bandwidth on random access, where it can");
-    println!("even lose to plain 4K; SVA-IOMMU pays extra for context fetches.");
+    println!("even lose to plain 4K; SVA-IOMMU pays for its smaller 8-way IOTLB,");
+    println!("which misses far more often than the 4K FA TLB (its context is");
+    println!("fetched once per run).");
     println!("DVM-PE+ beats both by validating identity mappings, not translating.");
 }

@@ -84,13 +84,10 @@ impl Default for CpuMmuConfig {
     }
 }
 
-/// Per-run MMU statistics.
+/// Per-run walker statistics (the DTLBs count their own hits and misses:
+/// see [`CpuMmu::l1_stats`] and [`CpuMmu::l2_stats`]).
 #[derive(Debug, Clone)]
 pub struct CpuMmuStats {
-    /// L1 DTLB hit/miss.
-    pub l1: RatioStat,
-    /// L2 DTLB hit/miss (probed only on L1 misses).
-    pub l2: RatioStat,
     /// Walks performed.
     pub walks: Counter,
     /// Walker memory references.
@@ -104,8 +101,7 @@ pub struct CpuMmu {
     l1: Tlb,
     l2: Tlb,
     ptc: PtCache,
-    /// `(ptc_latency, walker_mem_cycles, store_fetch_overlap_cycles)`.
-    config_latencies: (Cycles, Cycles, Cycles),
+    config: CpuMmuConfig,
     /// Energy account (kept for symmetry with the accelerator; Figure 10
     /// is time-only).
     pub energy: EnergyAccount,
@@ -136,22 +132,35 @@ impl CpuMmu {
             ptc: PtCache::new(ptc),
             energy: EnergyAccount::new(EnergyParams::default()),
             stats: CpuMmuStats {
-                l1: RatioStat::new("l1_dtlb"),
-                l2: RatioStat::new("l2_dtlb"),
                 walks: Counter::new("walks"),
                 walk_mem_refs: Counter::new("walk_mem_refs"),
             },
-            config_latencies: (
-                config.ptc_latency,
-                config.walker_mem_cycles,
-                config.store_fetch_overlap_cycles,
-            ),
+            config,
         }
     }
 
     /// The scheme being modelled.
     pub fn scheme(&self) -> CpuScheme {
         self.scheme
+    }
+
+    /// L1 DTLB hits and misses.
+    pub fn l1_stats(&self) -> &RatioStat {
+        self.l1.stats()
+    }
+
+    /// L2 DTLB hits and misses (probed only on L1 misses).
+    pub fn l2_stats(&self) -> &RatioStat {
+        self.l2.stats()
+    }
+
+    /// Reset statistics between measurement phases.
+    pub fn reset_stats(&mut self) {
+        self.l1.reset_stats();
+        self.l2.reset_stats();
+        self.stats.walks.reset();
+        self.stats.walk_mem_refs.reset();
+        self.energy.reset();
     }
 
     /// Page-walk cycles charged to one access. TLB lookups themselves are
@@ -184,18 +193,19 @@ impl CpuMmu {
         pt: &PageTable,
         mem: &PhysMem,
     ) -> Cycles {
-        let (ptc_latency, walker_mem, store_overlap) = self.config_latencies;
+        let CpuMmuConfig {
+            ptc_latency,
+            walker_mem_cycles: walker_mem,
+            store_fetch_overlap_cycles: store_overlap,
+            ..
+        } = self.config;
         if self.l1.lookup(va).is_some() {
-            self.stats.l1.hit();
             return 0;
         }
-        self.stats.l1.miss();
         if let Some(entry) = self.l2.lookup(va) {
-            self.stats.l2.hit();
             self.l1.insert(entry);
             return 0;
         }
-        self.stats.l2.miss();
         // Walk.
         self.stats.walks.inc();
         let walk = pt.walk(mem, va);
@@ -239,19 +249,6 @@ impl CpuMmu {
             cost = cost.saturating_sub(store_overlap);
         }
         cost
-    }
-}
-
-// A small struct-field addendum kept out of the constructor body above for
-// readability.
-impl CpuMmu {
-    /// Reset statistics between measurement phases.
-    pub fn reset_stats(&mut self) {
-        self.stats.l1.reset();
-        self.stats.l2.reset();
-        self.stats.walks.reset();
-        self.stats.walk_mem_refs.reset();
-        self.energy.reset();
     }
 }
 
@@ -302,7 +299,7 @@ mod tests {
         let second = mmu.translate(va, &pt, &mem);
         assert!(first > 0, "cold access walks");
         assert_eq!(second, 0, "L1 hit is pipelined away");
-        assert_eq!(mmu.stats.l1.hits(), 1);
+        assert_eq!(mmu.l1_stats().hits(), 1);
     }
 
     #[test]
@@ -317,7 +314,12 @@ mod tests {
             mmu.translate(VirtAddr::new((64 << 20) + i * 4096), &pt, &mem);
         }
         assert_eq!(mmu.stats.walks.get(), 0, "all within L2 reach");
-        assert!(mmu.stats.l2.hits() > 0);
+        assert!(mmu.l2_stats().hits() > 0);
+        assert_eq!(
+            mmu.l1_stats().total(),
+            128,
+            "reset_stats clears the DTLB counts"
+        );
     }
 
     #[test]

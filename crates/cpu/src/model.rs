@@ -124,8 +124,8 @@ pub fn evaluate(
         scheme,
         base_cycles,
         translation_cycles: translation_cycles as f64,
-        l1_miss_rate: mmu.stats.l1.miss_rate(),
-        l2_miss_rate: mmu.stats.l2.miss_rate(),
+        l1_miss_rate: mmu.l1_stats().miss_rate(),
+        l2_miss_rate: mmu.l2_stats().miss_rate(),
         walk_refs_per_kilo_access: 1000.0 * mmu.stats.walk_mem_refs.get() as f64
             / config.accesses as f64,
     })

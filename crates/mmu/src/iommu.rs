@@ -1,8 +1,8 @@
 //! The IOMMU driver: structure bring-up, statistics, energy accounting
 //! and the shared page-walker, with per-access behaviour delegated to
 //! the configured [`TranslationScheme`]. The scheme implementations —
-//! the paper's seven configurations plus the registered rivals — live
-//! in [`crate::scheme`].
+//! the paper's seven configurations plus the two SVA rivals — live in
+//! [`crate::scheme`].
 
 use crate::memo::WalkMemo;
 use crate::ptcache::{PtCache, PtcLookup};
@@ -28,6 +28,20 @@ pub struct Validation {
     /// wasted DRAM transaction has been charged to the energy account and
     /// the caller should count the extra DRAM traffic.
     pub squashed_preload: bool,
+}
+
+impl Validation {
+    /// A validation the data access waits for: no preload overlapped it
+    /// or was squashed.
+    #[inline]
+    pub(crate) fn serial(pa: PhysAddr, latency: Cycles) -> Self {
+        Self {
+            pa,
+            latency,
+            overlap: false,
+            squashed_preload: false,
+        }
+    }
 }
 
 /// Event counters exposed by the IOMMU.
@@ -116,9 +130,10 @@ pub struct Iommu {
     /// Bitmap cache (DVM-BM-style schemes), if configured.
     pub bitmap_cache: Option<PtCache>,
     walk_memo: WalkMemo,
-    /// Scheme-private scratch words (prefetch history, cached context
-    /// flags, ...); zeroed at construction and on [`flush`](Self::flush).
-    pub scratch: [u64; 4],
+    /// The VPN the last next-page TLB prefetch walked (SVA-Pf).
+    pub(crate) last_prefetch_vpn: Option<u64>,
+    /// Whether the walker holds the device context (SVA-IOMMU).
+    pub(crate) context_cached: bool,
     /// Dynamic-energy account for MM events.
     pub energy: EnergyAccount,
     /// Event counters.
@@ -138,7 +153,8 @@ impl Iommu {
             ptc: structures.ptc.map(PtCache::new),
             bitmap_cache: structures.bitmap_cache.map(PtCache::new),
             walk_memo: WalkMemo::new(),
-            scratch: [0; 4],
+            last_prefetch_vpn: None,
+            context_cached: false,
             energy: EnergyAccount::new(energy_params),
             stats: IommuStats::new(),
         }
@@ -191,7 +207,7 @@ impl Iommu {
     }
 
     /// Flush all cached translation state (context switch), including the
-    /// scheme's scratch words.
+    /// prefetch history and the cached device context.
     pub fn flush(&mut self) {
         if let Some(t) = &mut self.tlb {
             t.flush();
@@ -202,7 +218,8 @@ impl Iommu {
         if let Some(b) = &mut self.bitmap_cache {
             b.flush();
         }
-        self.scratch = [0; 4];
+        self.last_prefetch_vpn = None;
+        self.context_cached = false;
     }
 
     /// Validate/translate one access by dispatching into the configured
@@ -308,39 +325,32 @@ impl Iommu {
         let mut stall: Cycles = 0;
         let mut busy: Cycles = 0;
         for step in walk.steps() {
-            match &mut self.ptc {
-                Some(ptc) => match ptc.access(step.pte_pa, step.level) {
-                    PtcLookup::Hit => {
-                        busy += 1;
-                        self.energy.record(MmEvent::PtcLookup);
-                    }
-                    PtcLookup::Miss => {
-                        busy += 1;
-                        self.energy.record(MmEvent::PtcLookup);
-                        let fetch = ctx.dram.access(step.pte_pa, AccessKind::Read);
-                        stall += fetch;
-                        busy += fetch;
-                        self.energy.record(MmEvent::WalkerDram);
-                        self.stats.walk_mem_refs.inc();
-                    }
-                    PtcLookup::Bypass => {
-                        let fetch = ctx.dram.access(step.pte_pa, AccessKind::Read);
-                        stall += fetch;
-                        busy += fetch;
-                        self.energy.record(MmEvent::WalkerDram);
-                        self.stats.walk_mem_refs.inc();
-                    }
-                },
-                None => {
-                    let fetch = ctx.dram.access(step.pte_pa, AccessKind::Read);
-                    stall += fetch;
-                    busy += fetch;
-                    self.energy.record(MmEvent::WalkerDram);
-                    self.stats.walk_mem_refs.inc();
-                }
+            let lookup = match &mut self.ptc {
+                Some(ptc) => ptc.access(step.pte_pa, step.level),
+                None => PtcLookup::Bypass,
+            };
+            if lookup != PtcLookup::Bypass {
+                busy += 1;
+                self.energy.record(MmEvent::PtcLookup);
+            }
+            if lookup != PtcLookup::Hit {
+                let fetch = self.walker_fetch(ctx.dram, step.pte_pa);
+                stall += fetch;
+                busy += fetch;
             }
         }
         self.stats.walker_busy.add(busy);
         (walk, stall)
+    }
+
+    /// One walker read from DRAM: a page-table entry, a bitmap block or
+    /// the device context. Returns its latency; the caller charges it to
+    /// the walker's occupancy.
+    #[inline]
+    pub(crate) fn walker_fetch(&mut self, dram: &mut Dram, pa: PhysAddr) -> Cycles {
+        let fetch = dram.access(pa, AccessKind::Read);
+        self.energy.record(MmEvent::WalkerDram);
+        self.stats.walk_mem_refs.inc();
+        fetch
     }
 }

@@ -1,7 +1,7 @@
 //! Hardware memory-management models: TLBs, page-walk caches, the Access
-//! Validation Cache, and the IOMMU driving a pluggable
-//! [`TranslationScheme`] — the paper's seven memory-management
-//! configurations plus two rival shared-virtual-addressing designs.
+//! Validation Cache, and the IOMMU driving one [`TranslationScheme`] of a
+//! closed table — the paper's seven memory-management configurations
+//! plus two rival shared-virtual-addressing designs.
 //!
 //! The flow mirrors the paper's Figure 1: accelerator accesses arrive at
 //! the [`Iommu`], which dispatches into its configured scheme — either

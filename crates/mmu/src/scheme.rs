@@ -17,8 +17,13 @@
 //! | `DVM-PE` | 1 KiB AVC only | PE page-walk validation, then access |
 //! | `DVM-PE+` | 1 KiB AVC | like DVM-PE, but reads overlap DAV with a preload |
 //! | `Ideal` | none | direct physical access |
-//! | `SVA-Pf` | 128-entry FA TLB + 1 KiB PWC | 4K SVA with next-page TLB prefetch (Kurth et al.) |
-//! | `SVA-IOMMU` | 64-entry 8-way TLB + 1 KiB PWC | RISC-V-style IOMMU SVA with a device-context fetch (Koenig et al.) |
+//! | `SVA-Pf` | 128-entry FA TLB + 1 KiB PWC | 4K, plus a next-page TLB prefetch (Kurth et al.) |
+//! | `SVA-IOMMU` | 64-entry 8-way TLB + 1 KiB PWC | 4K, plus a one-time device-context fetch (Koenig et al.) |
+//!
+//! The three conventional baselines and both SVA rivals are one
+//! mechanism — TLB probe, walk on a miss, fill — so they are five rows
+//! of one struct whose fields say what each row adds. DVM-BM's `00`
+//! fallback reuses the same TLB-hit and walk-outcome helpers.
 //!
 //! The table is closed: a new scheme is added in this file (DESIGN.md,
 //! "Adding a translation scheme"). Bench binaries and farm workers are
@@ -26,11 +31,12 @@
 //! could never reach the others anyway.
 
 use crate::iommu::{AccessCtx, Iommu, Validation};
-use crate::ptcache::PtCacheConfig;
+use crate::ptcache::{PtCacheConfig, PtcLookup};
 use crate::tlb::{Associativity, TlbConfig, TlbEntry};
 use core::fmt;
 use dvm_energy::MmEvent;
 use dvm_pagetable::{WalkOutcome, VA_LIMIT};
+use dvm_sim::Cycles;
 use dvm_types::{AccessKind, Fault, FaultKind, PageSize, PhysAddr, VirtAddr};
 
 /// Hardware structures a scheme asks the [`Iommu`] to instantiate.
@@ -44,19 +50,16 @@ pub struct SchemeStructures {
     pub bitmap_cache: Option<PtCacheConfig>,
 }
 
-/// One pluggable memory-management scheme.
+/// One memory-management scheme of the registry.
 ///
 /// Implementations are stateless: all mutable per-run state (TLB, caches,
-/// scratch words, statistics, energy) lives in the [`Iommu`] handed to
-/// [`access`](Self::access). That keeps every scheme a plain `&'static`
-/// object shared by every concurrent sweep unit.
+/// prefetch history, cached context, statistics, energy) lives in the
+/// [`Iommu`] handed to [`access`](Self::access). That keeps every scheme
+/// a plain `&'static` object shared by every concurrent sweep unit.
 pub trait TranslationScheme: fmt::Debug + Send + Sync {
     /// Display name; unique within the registry (used by CLI filters,
     /// report-cache keys and result documents).
     fn name(&self) -> &'static str;
-
-    /// One-line human description (shown in CLI scheme listings).
-    fn describe(&self) -> &'static str;
 
     /// Page size the OS should use when building page tables for this
     /// scheme (`None` means DVM-style PE tables — or no table at all).
@@ -82,9 +85,9 @@ pub trait TranslationScheme: fmt::Debug + Send + Sync {
     fn structures(&self) -> SchemeStructures;
 
     /// Validate/translate one access. `iommu` holds the structures built
-    /// from [`structures`](Self::structures) plus stats, energy and
-    /// scratch state; `ctx` carries the page table, optional bitmap and
-    /// the DRAM model.
+    /// from [`structures`](Self::structures) plus stats, energy and the
+    /// walker's per-context state; `ctx` carries the page table, optional
+    /// bitmap and the DRAM model.
     ///
     /// # Errors
     ///
@@ -223,21 +226,35 @@ impl fmt::Display for SchemeId {
     }
 }
 
-static CONV_4K_SCHEME: Conventional = Conventional {
-    page_size: PageSize::Size4K,
-};
-static CONV_2M_SCHEME: Conventional = Conventional {
-    page_size: PageSize::Size2M,
-};
-static CONV_1G_SCHEME: Conventional = Conventional {
-    page_size: PageSize::Size1G,
-};
+static CONV_4K_SCHEME: TlbScheme = TlbScheme::conventional("4K,TLB+PWC", PageSize::Size4K);
+static CONV_2M_SCHEME: TlbScheme = TlbScheme::conventional("2M,TLB+PWC", PageSize::Size2M);
+static CONV_1G_SCHEME: TlbScheme = TlbScheme::conventional("1G,TLB+PWC", PageSize::Size1G);
 static DVM_BM_SCHEME: DvmBitmap = DvmBitmap;
 static DVM_PE_SCHEME: DvmPe = DvmPe { preload: false };
 static DVM_PE_PLUS_SCHEME: DvmPe = DvmPe { preload: true };
 static IDEAL_SCHEME: Ideal = Ideal;
-static SVA_PF_SCHEME: SvaPf = SvaPf;
-static SVA_IOMMU_SCHEME: SvaIommu = SvaIommu;
+/// Kurth et al., "Scalable Shared Virtual Memory Addressing for
+/// Heterogeneous SoCs" (arXiv 1808.09751): 4K SVA whose walker, on a
+/// demand TLB miss, also resolves the next virtual page in the
+/// background, so streaming DMA hides most of its translation stalls.
+static SVA_PF_SCHEME: TlbScheme = TlbScheme {
+    next_page_prefetch: true,
+    ..TlbScheme::conventional("SVA-Pf", PageSize::Size4K)
+};
+/// RISC-V-style SVA through a standards-track IOMMU, after Koenig et
+/// al.'s IOMMU work (arXiv 2502.17398): the spec's reference IOTLB is
+/// set-associative and smaller than the paper's 128-entry CAM, and the
+/// first walk of a context fetches the device-directory entry binding
+/// the device to the process address space.
+static SVA_IOMMU_SCHEME: TlbScheme = TlbScheme {
+    tlb: TlbConfig {
+        entries: 64,
+        assoc: Associativity::SetAssociative { ways: 8 },
+        page_size: PageSize::Size4K,
+    },
+    context_fetch: true,
+    ..TlbScheme::conventional("SVA-IOMMU", PageSize::Size4K)
+};
 
 /// The registry: every scheme, indexed by [`SchemeId`].
 static BUILTINS: [&dyn TranslationScheme; 9] = [
@@ -303,8 +320,8 @@ pub mod dispatch {
         }
     }
 
-    macro_rules! static_token {
-        ($(#[$doc:meta])* $name:ident, $scheme:ident) => {
+    macro_rules! static_tokens {
+        ($($(#[$doc:meta])* $name:ident => $scheme:ident;)*) => {$(
             $(#[$doc])*
             #[derive(Debug, Clone, Copy)]
             pub struct $name;
@@ -320,85 +337,116 @@ pub mod dispatch {
                     $scheme.access(iommu, ctx, va, kind)
                 }
             }
-        };
+        )*};
     }
 
-    static_token!(
+    static_tokens! {
         /// `4K,TLB+PWC`.
-        Conv4K,
-        CONV_4K_SCHEME
-    );
-    static_token!(
+        Conv4K => CONV_4K_SCHEME;
         /// `2M,TLB+PWC`.
-        Conv2M,
-        CONV_2M_SCHEME
-    );
-    static_token!(
+        Conv2M => CONV_2M_SCHEME;
         /// `1G,TLB+PWC`.
-        Conv1G,
-        CONV_1G_SCHEME
-    );
-    static_token!(
+        Conv1G => CONV_1G_SCHEME;
         /// `DVM-BM`.
-        DvmBm,
-        DVM_BM_SCHEME
-    );
-    static_token!(
+        DvmBm => DVM_BM_SCHEME;
         /// `DVM-PE`.
-        DvmPe,
-        DVM_PE_SCHEME
-    );
-    static_token!(
+        DvmPe => DVM_PE_SCHEME;
         /// `DVM-PE+`.
-        DvmPePlus,
-        DVM_PE_PLUS_SCHEME
-    );
-    static_token!(
+        DvmPePlus => DVM_PE_PLUS_SCHEME;
         /// `Ideal`.
-        Ideal,
-        IDEAL_SCHEME
-    );
-    static_token!(
+        Ideal => IDEAL_SCHEME;
         /// `SVA-Pf`.
-        SvaPf,
-        SVA_PF_SCHEME
-    );
-    static_token!(
+        SvaPf => SVA_PF_SCHEME;
         /// `SVA-IOMMU`.
-        SvaIommu,
-        SVA_IOMMU_SCHEME
-    );
+        SvaIommu => SVA_IOMMU_SCHEME;
+    }
 }
 
-/// Conventional VM: TLB + page-walk cache at a uniform page size.
+/// A TLB in front of a 1 KiB PWC at one uniform page size: the three
+/// conventional baselines and both SVA rivals. Each field is a per-row
+/// constant of the registry table, not a user option.
 #[derive(Debug)]
-struct Conventional {
-    page_size: PageSize,
+struct TlbScheme {
+    name: &'static str,
+    /// The TLB; its page size is the leaf size the OS maps.
+    tlb: TlbConfig,
+    /// After a demand walk that found a leaf, walk the next page in the
+    /// background and fill the TLB with it (SVA-Pf). The prefetch walk's
+    /// memory traffic and energy are charged, but the demand access does
+    /// not stall on it.
+    next_page_prefetch: bool,
+    /// Fetch the device context from memory before the first walk after
+    /// construction or a flush (SVA-IOMMU).
+    context_fetch: bool,
 }
 
-impl TranslationScheme for Conventional {
-    fn name(&self) -> &'static str {
-        match self.page_size {
-            PageSize::Size4K => "4K,TLB+PWC",
-            PageSize::Size2M => "2M,TLB+PWC",
-            PageSize::Size1G => "1G,TLB+PWC",
+impl TlbScheme {
+    /// Conventional paging with the paper's 128-entry FA TLB.
+    const fn conventional(name: &'static str, page_size: PageSize) -> Self {
+        Self {
+            name,
+            tlb: TlbConfig::paper_accelerator(page_size),
+            next_page_prefetch: false,
+            context_fetch: false,
         }
     }
 
-    fn describe(&self) -> &'static str {
-        match self.page_size {
-            PageSize::Size4K => "conventional 4K paging, 128-entry FA TLB + PWC",
-            PageSize::Size2M => "conventional 2M paging, 128-entry FA TLB + PWC",
-            PageSize::Size1G => "conventional 1G paging, 128-entry FA TLB + PWC",
+    /// Background next-page prefetch. The IOMMU remembers the last
+    /// prefetched VPN, filtering repeated prefetches of the same page on
+    /// clustered misses.
+    #[inline]
+    fn prefetch_next(&self, iommu: &mut Iommu, ctx: &mut AccessCtx<'_>, va: VirtAddr) {
+        let page = self.tlb.page_size;
+        let Some(next) = va.raw().checked_add(page.bytes()) else {
+            return;
+        };
+        if next >= VA_LIMIT {
+            return;
         }
+        let next = VirtAddr::new(next);
+        let vpn = next.vpn(page);
+        if iommu.last_prefetch_vpn == Some(vpn) {
+            return;
+        }
+        iommu.last_prefetch_vpn = Some(vpn);
+        iommu.stats.tlb_prefetches.inc();
+        // The walk is charged (walker occupancy, PWC probes, DRAM
+        // fetches) but its stall is discarded: it runs behind the
+        // demand access. Faults are dropped — a prefetch must never
+        // raise one.
+        let (walk, _stall) = iommu.timed_walk(ctx, next);
+        if let WalkOutcome::Leaf {
+            pa,
+            perms,
+            page: leaf,
+        } = walk.outcome
+        {
+            if leaf == page {
+                iommu
+                    .tlb
+                    .as_mut()
+                    .expect("TLB-backed scheme")
+                    .insert(TlbEntry {
+                        vpn,
+                        pfn: pa.raw() >> page.shift(),
+                        perms,
+                    });
+            }
+        }
+    }
+}
+
+impl TranslationScheme for TlbScheme {
+    fn name(&self) -> &'static str {
+        self.name
     }
 
     fn required_leaf_size(&self) -> Option<PageSize> {
-        Some(self.page_size)
+        Some(self.tlb.page_size)
     }
 
     fn machine_bytes_hint(&self, graph_heap_bytes: u64) -> u64 {
-        if self.page_size == PageSize::Size1G {
+        if self.tlb.page_size == PageSize::Size1G {
             // 1G pages waste most of the last gigabyte of every
             // allocation; give the buddy allocator generous headroom.
             graph_heap_bytes + (7u64 << 30)
@@ -409,7 +457,7 @@ impl TranslationScheme for Conventional {
 
     fn structures(&self) -> SchemeStructures {
         SchemeStructures {
-            tlb: Some(TlbConfig::paper_accelerator(self.page_size)),
+            tlb: Some(self.tlb),
             ptc: Some(PtCacheConfig::paper_pwc()),
             bitmap_cache: None,
         }
@@ -423,54 +471,88 @@ impl TranslationScheme for Conventional {
         va: VirtAddr,
         kind: AccessKind,
     ) -> Result<Validation, Fault> {
-        let page_size = self.page_size;
+        let page = self.tlb.page_size;
         iommu.energy.record(iommu.tlb_energy_event());
-        let hit = iommu.tlb.as_mut().expect("conventional has TLB").lookup(va);
+        let hit = iommu.tlb.as_mut().expect("TLB-backed scheme").lookup(va);
         if let Some(entry) = hit {
-            iommu.check(entry.perms, va, kind)?;
-            let pa = PhysAddr::new((entry.pfn << page_size.shift()) | va.page_offset(page_size));
-            return Ok(Validation {
-                pa,
-                latency: 1,
-                overlap: false,
-                squashed_preload: false,
-            });
+            return tlb_translation(iommu, entry, va, kind, page, 1);
+        }
+        let mut latency = 1;
+        if self.context_fetch && !iommu.context_cached {
+            // Cached in the walker afterwards; flushed on context switch.
+            iommu.context_cached = true;
+            let fetch = iommu.walker_fetch(ctx.dram, PhysAddr::new(0));
+            iommu.stats.walker_busy.add(fetch);
+            latency += fetch;
         }
         let (walk, walk_stall) = iommu.timed_walk(ctx, va);
-        let latency = 1 + walk_stall;
-        match walk.outcome {
-            WalkOutcome::Leaf { pa, perms, page } => {
-                iommu.check(perms, va, kind)?;
-                debug_assert_eq!(
-                    page, page_size,
-                    "conventional tables must be uniform (OS layout invariant)"
-                );
-                iommu.tlb.as_mut().expect("tlb").insert(TlbEntry {
-                    vpn: va.vpn(page_size),
-                    pfn: pa.raw() >> page_size.shift(),
+        let leaf = matches!(walk.outcome, WalkOutcome::Leaf { .. });
+        let validation =
+            walk_validation(iommu, walk.outcome, va, kind, page, latency + walk_stall)?;
+        if self.next_page_prefetch && leaf {
+            self.prefetch_next(iommu, ctx, va);
+        }
+        Ok(validation)
+    }
+}
+
+/// A TLB hit: check the cached permissions and splice the page offset
+/// onto the cached frame.
+#[inline]
+fn tlb_translation(
+    iommu: &mut Iommu,
+    entry: TlbEntry,
+    va: VirtAddr,
+    kind: AccessKind,
+    page: PageSize,
+    latency: Cycles,
+) -> Result<Validation, Fault> {
+    iommu.check(entry.perms, va, kind)?;
+    let pa = PhysAddr::new((entry.pfn << page.shift()) | va.page_offset(page));
+    Ok(Validation::serial(pa, latency))
+}
+
+/// The end of a TLB miss: a leaf fills the TLB, a Permission Entry
+/// validates as identity (hardware that understands PEs honours them
+/// even in conventional mode, and DVM-BM trusts the table over a stale
+/// bitmap), and an unmapped walk faults.
+#[inline]
+fn walk_validation(
+    iommu: &mut Iommu,
+    outcome: WalkOutcome,
+    va: VirtAddr,
+    kind: AccessKind,
+    page: PageSize,
+    latency: Cycles,
+) -> Result<Validation, Fault> {
+    match outcome {
+        WalkOutcome::Leaf {
+            pa,
+            perms,
+            page: leaf,
+        } => {
+            iommu.check(perms, va, kind)?;
+            debug_assert_eq!(
+                leaf, page,
+                "TLB-backed tables must be uniform (OS layout invariant)"
+            );
+            iommu
+                .tlb
+                .as_mut()
+                .expect("TLB-backed scheme")
+                .insert(TlbEntry {
+                    vpn: va.vpn(page),
+                    pfn: pa.raw() >> page.shift(),
                     perms,
                 });
-                Ok(Validation {
-                    pa,
-                    latency,
-                    overlap: false,
-                    squashed_preload: false,
-                })
-            }
-            // Defensive: hardware that understands PEs treats them as
-            // identity validations even in conventional mode.
-            WalkOutcome::PermissionEntry { perms, .. } => {
-                iommu.check(perms, va, kind)?;
-                iommu.stats.identity_validations.inc();
-                Ok(Validation {
-                    pa: va.to_identity_pa(),
-                    latency,
-                    overlap: false,
-                    squashed_preload: false,
-                })
-            }
-            WalkOutcome::NotMapped { .. } => Err(iommu.fault(va, kind, FaultKind::NotMapped)),
+            Ok(Validation::serial(pa, latency))
         }
+        WalkOutcome::PermissionEntry { perms, .. } => {
+            iommu.check(perms, va, kind)?;
+            iommu.stats.identity_validations.inc();
+            Ok(Validation::serial(va.to_identity_pa(), latency))
+        }
+        WalkOutcome::NotMapped { .. } => Err(iommu.fault(va, kind, FaultKind::NotMapped)),
     }
 }
 
@@ -481,10 +563,6 @@ struct DvmBitmap;
 impl TranslationScheme for DvmBitmap {
     fn name(&self) -> &'static str {
         "DVM-BM"
-    }
-
-    fn describe(&self) -> &'static str {
-        "devirtualized memory, flat permission bitmap + bitmap cache"
     }
 
     fn needs_bitmap(&self) -> bool {
@@ -498,13 +576,8 @@ impl TranslationScheme for DvmBitmap {
             tlb: Some(TlbConfig::paper_accelerator(PageSize::Size4K)),
             ptc: None,
             // 128-entry bitmap cache of 64 B bitmap blocks (each block
-            // holds the 2-bit fields of 256 pages).
-            bitmap_cache: Some(PtCacheConfig {
-                pte_entries: 128,
-                ways: 4,
-                block_bytes: 64,
-                cache_l1: true,
-            }),
+            // holds the 2-bit fields of 256 pages): the AVC's geometry.
+            bitmap_cache: Some(PtCacheConfig::paper_avc()),
         }
     }
 
@@ -523,25 +596,21 @@ impl TranslationScheme for DvmBitmap {
         // lookups burn energy every time — the reason DVM-BM saves far
         // less energy than DVM-PE (paper Figure 9).
         iommu.energy.record(MmEvent::BitmapCacheLookup);
-        let tlb_event = iommu.tlb_energy_event();
-        iommu.energy.record(tlb_event);
+        iommu.energy.record(iommu.tlb_energy_event());
         let tlb_hit = iommu.tlb.as_mut().expect("fallback TLB").lookup(va);
         let word_pa = bitmap.entry_pa(vpn);
         let cache = iommu
             .bitmap_cache
             .as_mut()
             .expect("DVM-BM has a bitmap cache");
-        let (hit, dav_latency) = match cache.access(word_pa, 2) {
-            crate::ptcache::PtcLookup::Hit => (true, 1),
+        let dav_latency = match cache.access(word_pa, 2) {
+            PtcLookup::Hit => 1,
             _ => {
-                let fetch = ctx.dram.access(word_pa, AccessKind::Read);
-                iommu.energy.record(MmEvent::WalkerDram);
-                iommu.stats.walk_mem_refs.inc();
+                let fetch = iommu.walker_fetch(ctx.dram, word_pa);
                 iommu.stats.walker_busy.add(fetch);
-                (false, 1 + fetch)
+                1 + fetch
             }
         };
-        let _ = hit;
         let perms = bitmap.perms_of(ctx.mem, vpn);
         if perms.is_mapped() {
             // 1-step DAV success: identity access.
@@ -549,57 +618,17 @@ impl TranslationScheme for DvmBitmap {
                 return Err(iommu.fault(va, kind, FaultKind::Protection));
             }
             iommu.stats.identity_validations.inc();
-            return Ok(Validation {
-                pa: va.to_identity_pa(),
-                latency: dav_latency,
-                overlap: false,
-                squashed_preload: false,
-            });
+            return Ok(Validation::serial(va.to_identity_pa(), dav_latency));
         }
         // 00: not identity mapped; full translation, expedited by the TLB
         // that was already probed in parallel.
         iommu.stats.fallback_translations.inc();
         if let Some(entry) = tlb_hit {
-            iommu.check(entry.perms, va, kind)?;
-            let pa = PhysAddr::from_frame(entry.pfn) + va.page_offset(PageSize::Size4K);
-            return Ok(Validation {
-                pa,
-                latency: dav_latency,
-                overlap: false,
-                squashed_preload: false,
-            });
+            return tlb_translation(iommu, entry, va, kind, PageSize::Size4K, dav_latency);
         }
         let (walk, walk_stall) = iommu.timed_walk(ctx, va);
         let latency = dav_latency + 1 + walk_stall;
-        match walk.outcome {
-            WalkOutcome::Leaf { pa, perms, page } => {
-                iommu.check(perms, va, kind)?;
-                debug_assert_eq!(page, PageSize::Size4K, "DVM-BM fallback uses 4K tables");
-                iommu.tlb.as_mut().expect("tlb").insert(TlbEntry {
-                    vpn,
-                    pfn: pa.frame(),
-                    perms,
-                });
-                Ok(Validation {
-                    pa,
-                    latency,
-                    overlap: false,
-                    squashed_preload: false,
-                })
-            }
-            WalkOutcome::PermissionEntry { perms, .. } => {
-                // Stale bitmap relative to the page table; trust the table.
-                iommu.check(perms, va, kind)?;
-                iommu.stats.identity_validations.inc();
-                Ok(Validation {
-                    pa: va.to_identity_pa(),
-                    latency,
-                    overlap: false,
-                    squashed_preload: false,
-                })
-            }
-            WalkOutcome::NotMapped { .. } => Err(iommu.fault(va, kind, FaultKind::NotMapped)),
-        }
+        walk_validation(iommu, walk.outcome, va, kind, PageSize::Size4K, latency)
     }
 }
 
@@ -616,14 +645,6 @@ impl TranslationScheme for DvmPe {
             "DVM-PE+"
         } else {
             "DVM-PE"
-        }
-    }
-
-    fn describe(&self) -> &'static str {
-        if self.preload {
-            "devirtualized memory, permission entries + AVC + read preload"
-        } else {
-            "devirtualized memory, permission entries + AVC"
         }
     }
 
@@ -708,10 +729,6 @@ impl TranslationScheme for Ideal {
         "Ideal"
     }
 
-    fn describe(&self) -> &'static str {
-        "direct physical access, no translation or protection"
-    }
-
     fn structures(&self) -> SchemeStructures {
         SchemeStructures::default()
     }
@@ -724,246 +741,7 @@ impl TranslationScheme for Ideal {
         va: VirtAddr,
         _kind: AccessKind,
     ) -> Result<Validation, Fault> {
-        Ok(Validation {
-            pa: va.to_identity_pa(),
-            latency: 0,
-            overlap: false,
-            squashed_preload: false,
-        })
-    }
-}
-
-/// 4K shared virtual addressing with sequential next-page TLB
-/// prefetching, after Kurth et al., "Scalable Shared Virtual Memory
-/// Addressing for Heterogeneous SoCs" (arXiv 1808.09751): on a demand
-/// TLB miss the walker also resolves the next virtual page in the
-/// background, so streaming DMA hides most of its translation stalls.
-/// The prefetch walk's memory traffic and energy are charged, but the
-/// demand access does not stall on it.
-#[derive(Debug)]
-struct SvaPf;
-
-/// The page size SVA-Pf (and SVA-IOMMU) maps at.
-const SVA_PAGE: PageSize = PageSize::Size4K;
-
-impl SvaPf {
-    /// Background next-page prefetch. `iommu.scratch[0]` remembers the
-    /// last prefetched vpn (+1 so zero means "none"), filtering repeated
-    /// prefetches of the same page on clustered misses.
-    #[inline]
-    fn prefetch_next(&self, iommu: &mut Iommu, ctx: &mut AccessCtx<'_>, va: VirtAddr) {
-        let Some(next) = va.raw().checked_add(SVA_PAGE.bytes()) else {
-            return;
-        };
-        if next >= VA_LIMIT {
-            return;
-        }
-        let next = VirtAddr::new(next);
-        let vpn = next.vpn(SVA_PAGE);
-        if iommu.scratch[0] == vpn + 1 {
-            return;
-        }
-        iommu.scratch[0] = vpn + 1;
-        iommu.stats.tlb_prefetches.inc();
-        // The walk is charged (walker occupancy, PWC probes, DRAM
-        // fetches) but its stall is discarded: it runs behind the
-        // demand access. Faults are dropped — a prefetch must never
-        // raise one.
-        let (walk, _stall) = iommu.timed_walk(ctx, next);
-        if let WalkOutcome::Leaf { pa, perms, page } = walk.outcome {
-            if page == SVA_PAGE {
-                iommu
-                    .tlb
-                    .as_mut()
-                    .expect("SVA-Pf has a TLB")
-                    .insert(TlbEntry {
-                        vpn,
-                        pfn: pa.raw() >> SVA_PAGE.shift(),
-                        perms,
-                    });
-            }
-        }
-    }
-}
-
-impl TranslationScheme for SvaPf {
-    fn name(&self) -> &'static str {
-        "SVA-Pf"
-    }
-
-    fn describe(&self) -> &'static str {
-        "shared virtual addressing, 4K TLB + PWC + next-page prefetch"
-    }
-
-    fn required_leaf_size(&self) -> Option<PageSize> {
-        Some(SVA_PAGE)
-    }
-
-    fn structures(&self) -> SchemeStructures {
-        SchemeStructures {
-            tlb: Some(TlbConfig::paper_accelerator(SVA_PAGE)),
-            ptc: Some(PtCacheConfig::paper_pwc()),
-            bitmap_cache: None,
-        }
-    }
-
-    #[inline]
-    fn access(
-        &self,
-        iommu: &mut Iommu,
-        ctx: &mut AccessCtx<'_>,
-        va: VirtAddr,
-        kind: AccessKind,
-    ) -> Result<Validation, Fault> {
-        iommu.energy.record(iommu.tlb_energy_event());
-        let hit = iommu.tlb.as_mut().expect("SVA-Pf has a TLB").lookup(va);
-        if let Some(entry) = hit {
-            iommu.check(entry.perms, va, kind)?;
-            let pa = PhysAddr::new((entry.pfn << SVA_PAGE.shift()) | va.page_offset(SVA_PAGE));
-            return Ok(Validation {
-                pa,
-                latency: 1,
-                overlap: false,
-                squashed_preload: false,
-            });
-        }
-        let (walk, walk_stall) = iommu.timed_walk(ctx, va);
-        let latency = 1 + walk_stall;
-        match walk.outcome {
-            WalkOutcome::Leaf { pa, perms, page } => {
-                iommu.check(perms, va, kind)?;
-                debug_assert_eq!(page, SVA_PAGE, "SVA-Pf maps 4K leaves");
-                iommu.tlb.as_mut().expect("tlb").insert(TlbEntry {
-                    vpn: va.vpn(SVA_PAGE),
-                    pfn: pa.raw() >> SVA_PAGE.shift(),
-                    perms,
-                });
-                self.prefetch_next(iommu, ctx, va);
-                Ok(Validation {
-                    pa,
-                    latency,
-                    overlap: false,
-                    squashed_preload: false,
-                })
-            }
-            WalkOutcome::PermissionEntry { perms, .. } => {
-                iommu.check(perms, va, kind)?;
-                iommu.stats.identity_validations.inc();
-                Ok(Validation {
-                    pa: va.to_identity_pa(),
-                    latency,
-                    overlap: false,
-                    squashed_preload: false,
-                })
-            }
-            WalkOutcome::NotMapped { .. } => Err(iommu.fault(va, kind, FaultKind::NotMapped)),
-        }
-    }
-}
-
-/// RISC-V-style shared virtual addressing through a standards-track
-/// IOMMU, after Koenig et al., "Fast Shared-Memory Barrier
-/// Synchronization for a 1024-Cores RISC-V Many-Core Cluster" lineage
-/// IOMMU work (arXiv 2502.17398): a modest set-associative IOTLB in
-/// front of the PWC, plus a one-time device-context (DDT) fetch from
-/// memory before the first walk of a context — the price of the
-/// process-to-device binding the spec routes every stream through.
-#[derive(Debug)]
-struct SvaIommu;
-
-impl TranslationScheme for SvaIommu {
-    fn name(&self) -> &'static str {
-        "SVA-IOMMU"
-    }
-
-    fn describe(&self) -> &'static str {
-        "shared virtual addressing, RISC-V IOMMU: 8-way IOTLB + PWC + DDT fetch"
-    }
-
-    fn required_leaf_size(&self) -> Option<PageSize> {
-        Some(SVA_PAGE)
-    }
-
-    fn structures(&self) -> SchemeStructures {
-        SchemeStructures {
-            // The spec's reference IOTLB organization is set-associative
-            // and smaller than the paper's 128-entry CAM.
-            tlb: Some(TlbConfig {
-                entries: 64,
-                assoc: Associativity::SetAssociative { ways: 8 },
-                page_size: SVA_PAGE,
-            }),
-            ptc: Some(PtCacheConfig::paper_pwc()),
-            bitmap_cache: None,
-        }
-    }
-
-    #[inline]
-    fn access(
-        &self,
-        iommu: &mut Iommu,
-        ctx: &mut AccessCtx<'_>,
-        va: VirtAddr,
-        kind: AccessKind,
-    ) -> Result<Validation, Fault> {
-        iommu.energy.record(iommu.tlb_energy_event());
-        let hit = iommu
-            .tlb
-            .as_mut()
-            .expect("SVA-IOMMU has an IOTLB")
-            .lookup(va);
-        if let Some(entry) = hit {
-            iommu.check(entry.perms, va, kind)?;
-            let pa = PhysAddr::new((entry.pfn << SVA_PAGE.shift()) | va.page_offset(SVA_PAGE));
-            return Ok(Validation {
-                pa,
-                latency: 1,
-                overlap: false,
-                squashed_preload: false,
-            });
-        }
-        // First walk of this context: fetch the device directory entry
-        // binding the device to the process address space. Cached in the
-        // walker afterwards (`scratch[0]`), flushed on context switch.
-        let mut ddt_stall = 0;
-        if iommu.scratch[0] == 0 {
-            iommu.scratch[0] = 1;
-            let fetch = ctx.dram.access(PhysAddr::new(0), AccessKind::Read);
-            iommu.energy.record(MmEvent::WalkerDram);
-            iommu.stats.walk_mem_refs.inc();
-            iommu.stats.walker_busy.add(fetch);
-            ddt_stall = fetch;
-        }
-        let (walk, walk_stall) = iommu.timed_walk(ctx, va);
-        let latency = 1 + ddt_stall + walk_stall;
-        match walk.outcome {
-            WalkOutcome::Leaf { pa, perms, page } => {
-                iommu.check(perms, va, kind)?;
-                debug_assert_eq!(page, SVA_PAGE, "SVA-IOMMU maps 4K leaves");
-                iommu.tlb.as_mut().expect("tlb").insert(TlbEntry {
-                    vpn: va.vpn(SVA_PAGE),
-                    pfn: pa.raw() >> SVA_PAGE.shift(),
-                    perms,
-                });
-                Ok(Validation {
-                    pa,
-                    latency,
-                    overlap: false,
-                    squashed_preload: false,
-                })
-            }
-            WalkOutcome::PermissionEntry { perms, .. } => {
-                iommu.check(perms, va, kind)?;
-                iommu.stats.identity_validations.inc();
-                Ok(Validation {
-                    pa: va.to_identity_pa(),
-                    latency,
-                    overlap: false,
-                    squashed_preload: false,
-                })
-            }
-            WalkOutcome::NotMapped { .. } => Err(iommu.fault(va, kind, FaultKind::NotMapped)),
-        }
+        Ok(Validation::serial(va.to_identity_pa(), 0))
     }
 }
 

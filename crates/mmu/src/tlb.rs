@@ -34,7 +34,7 @@ pub struct TlbConfig {
 
 impl TlbConfig {
     /// The paper's accelerator TLB: 128-entry fully associative (Table 2).
-    pub fn paper_accelerator(page_size: PageSize) -> Self {
+    pub const fn paper_accelerator(page_size: PageSize) -> Self {
         Self {
             entries: 128,
             assoc: Associativity::Full,

@@ -174,15 +174,52 @@ fn sva_pf_prefetches_the_next_page_into_the_tlb() {
     assert!(iommu.stats.walks.get() > stats.misses());
 }
 
+/// Issue accesses one by one and return how many walker DRAM references
+/// each one cost.
+fn walk_refs_per_access(iommu: &mut Iommu, rig: &mut Rig, vas: &[VirtAddr]) -> Vec<u64> {
+    let mut sys = MemSystem::new(
+        iommu,
+        &rig.pt,
+        rig.bitmap.as_ref(),
+        &mut rig.mem,
+        &mut rig.dram,
+    );
+    vas.iter()
+        .map(|&va| {
+            let before = sys.iommu.stats.walk_mem_refs.get();
+            sys.access(va, AccessKind::Read).unwrap();
+            sys.iommu.stats.walk_mem_refs.get() - before
+        })
+        .collect()
+}
+
 #[test]
 fn sva_pf_flush_forgets_prefetch_history() {
     let config = SchemeId::SVA_PF;
     let mut rig = rig(config, 32 << 20);
     let mut iommu = Iommu::new(config, EnergyParams::default());
+    // The sequential scan misses on even pages and prefetches the odd
+    // ones, so the last prefetched page is page 63.
     sweep(&mut iommu, &mut rig, 64, 4096);
-    assert_ne!(iommu.scratch[0], 0, "dedup history recorded");
+    let page_62 = VirtAddr::new((64 << 20) + 62 * 4096);
+    // Drop only the TLB's entries: the demand miss on page 62 would
+    // prefetch page 63 again, but the recorded history filters it.
+    iommu.tlb.as_mut().unwrap().flush();
+    let prefetches = iommu.stats.tlb_prefetches.get();
+    walk_refs_per_access(&mut iommu, &mut rig, &[page_62]);
+    assert_eq!(
+        iommu.stats.tlb_prefetches.get(),
+        prefetches,
+        "dedup history recorded"
+    );
+    // A full flush also forgets the history: the same miss prefetches.
     iommu.flush();
-    assert_eq!(iommu.scratch[0], 0, "flush clears scheme scratch");
+    walk_refs_per_access(&mut iommu, &mut rig, &[page_62]);
+    assert_eq!(
+        iommu.stats.tlb_prefetches.get(),
+        prefetches + 1,
+        "flush clears the prefetch history"
+    );
     let prefetches_before = iommu.stats.tlb_prefetches.get();
     sweep(&mut iommu, &mut rig, 64, 4096);
     assert!(
@@ -193,10 +230,21 @@ fn sva_pf_flush_forgets_prefetch_history() {
 
 #[test]
 fn sva_iommu_fetches_the_device_context_exactly_once() {
+    let base = VirtAddr::new(64 << 20);
+    let next_page = base + 4096;
+    // The same accesses under 4K,TLB+PWC cost the walk alone: the two
+    // schemes share the PWC and walk the same 4K table.
+    let baseline = {
+        let config = SchemeId::CONV_4K;
+        let mut rig = rig(config, 32 << 20);
+        let mut iommu = Iommu::new(config, EnergyParams::default());
+        walk_refs_per_access(&mut iommu, &mut rig, &[base, base, next_page])
+    };
+    assert!(baseline[0] > 0 && baseline[1] == 0 && baseline[2] > 0);
+
     let config = SchemeId::SVA_IOMMU;
     let mut rig = rig(config, 32 << 20);
     let mut iommu = Iommu::new(config, EnergyParams::default());
-    let base = VirtAddr::new(64 << 20);
     {
         let mut sys = MemSystem::new(
             &mut iommu,
@@ -214,26 +262,25 @@ fn sva_iommu_fetches_the_device_context_exactly_once() {
             "DDT fetch charged once: {first} vs {second}"
         );
     }
+    assert_eq!(
+        iommu.stats.walk_mem_refs.get(),
+        baseline[0] + 1,
+        "the first walk fetches the context"
+    );
     let refs_after_two = iommu.stats.walk_mem_refs.get();
-    // Stay inside the already-cached first page: the context flag
-    // survives across accesses, so the IOTLB-hit path issues no further
+    // Stay inside the already-cached first page: the context stays
+    // cached across accesses, so the IOTLB-hit path issues no further
     // walks and no further DDT fetches.
     sweep(&mut iommu, &mut rig, 100, 8);
     assert_eq!(iommu.stats.walk_mem_refs.get(), refs_after_two);
-    // A flush (context switch) drops the cached context.
+    // A flush (context switch) drops the cached context: the next walk
+    // fetches it again, and the walk after that does not.
     iommu.flush();
-    assert_eq!(iommu.scratch[0], 0);
-    {
-        let mut sys = MemSystem::new(
-            &mut iommu,
-            &rig.pt,
-            rig.bitmap.as_ref(),
-            &mut rig.mem,
-            &mut rig.dram,
-        );
-        sys.access(base, AccessKind::Read).unwrap();
-    }
-    assert_eq!(iommu.scratch[0], 1, "post-flush access re-fetches the DDT");
+    assert_eq!(
+        walk_refs_per_access(&mut iommu, &mut rig, &[base, next_page]),
+        [baseline[0] + 1, baseline[2]],
+        "post-flush access re-fetches the DDT, once"
+    );
 }
 
 #[test]

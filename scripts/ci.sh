@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, build, the tier-1 test suite, the
-# multi-process shard-merge determinism check, and a golden-result diff.
+# multi-process shard-merge determinism check, a golden-result diff, and
+# a probe-scaled host-speed guard.
 # Everything here runs with no network and no vendored crates — the
 # default workspace has zero external dependencies by design (see
 # DESIGN.md, "Sweep engine & hermetic build").
@@ -148,38 +149,17 @@ target/release/fig10 --scale quick --json "$SHARD_TMP/fig10_quick.json" > /dev/n
 target/release/table4 --scale quick --json "$SHARD_TMP/table4_quick.json" > /dev/null
 scripts/diff_results.sh "$SHARD_TMP" virt fig10 table4
 
-echo "== perf trend (fig8 + fig9, quick scale)"
-# Time the two dominant sweeps with a fresh shared report cache (fig8
-# simulates, fig9 replays — the reproduce_all.sh arrangement), append
-# both wall times to results/BENCH_trend.json, and fail if fig8
-# regressed more than 25% over the last recorded entry. Outputs are also
-# diffed against the goldens — the perf machinery must not change bytes.
-now_ms() { python3 -c 'import time; print(int(time.time()*1000))'; }
-t0=$(now_ms)
-target/release/fig8 --scale quick --jobs 1 --cache-dir results/.dataset-cache \
-    --report-cache "$SHARD_TMP/report-cache" \
-    --json "$SHARD_TMP/fig8_quick.json" > /dev/null
-t1=$(now_ms)
-FIG8_MS=$((t1 - t0))
-t0=$(now_ms)
-target/release/fig9 --scale quick --jobs 1 --cache-dir results/.dataset-cache \
-    --report-cache "$SHARD_TMP/report-cache" \
-    --json "$SHARD_TMP/fig9_quick.json" > /dev/null
-t1=$(now_ms)
-FIG9_MS=$((t1 - t0))
-scripts/diff_results.sh "$SHARD_TMP" fig8 fig9
-
-echo "== DVM-vs-SVA comparison (fig11, quick scale)"
-# fig11 shares fig8's grid for its 4K/DVM-PE+/Ideal columns, so under the
-# shared report cache only the two SVA schemes simulate fresh. The
-# document is diffed against its golden like every other figure.
-t0=$(now_ms)
-target/release/fig11 --scale quick --jobs 1 --cache-dir results/.dataset-cache \
-    --report-cache "$SHARD_TMP/report-cache" \
-    --json "$SHARD_TMP/fig11_quick.json" > /dev/null
-t1=$(now_ms)
-FIG11_MS=$((t1 - t0))
-scripts/diff_results.sh "$SHARD_TMP" fig11
+echo "== golden-result diff (fig8 + fig9 + fig11, quick scale)"
+# The three figures share one fresh report cache (fig8 simulates, fig9
+# replays, fig11 replays the 4K/DVM-PE+/Ideal columns and simulates
+# only the two SVA schemes) — the reproduce_all.sh arrangement. Host
+# speed is guarded by perfbench at the end, not by these wall times.
+for fig in fig8 fig9 fig11; do
+    target/release/$fig --scale quick --jobs 1 --cache-dir results/.dataset-cache \
+        --report-cache "$SHARD_TMP/report-cache" \
+        --json "$SHARD_TMP/${fig}_quick.json" > /dev/null
+done
+scripts/diff_results.sh "$SHARD_TMP" fig8 fig9 fig11
 
 echo "== shard-merge determinism (fig11, quick scale, 2 shards)"
 # The new binary must honour the same contract as the old ones: a
@@ -221,6 +201,13 @@ cmp "$SHARD_TMP/churn_serial.txt" "$SHARD_TMP/churn_jobs2.txt"
 cmp "$SHARD_TMP/churn_quick.json" "$SHARD_TMP/churn_jobs2.json"
 echo "churn sharded and threaded outputs are byte-identical to serial"
 
-python3 scripts/bench_trend.py ci "$FIG8_MS" "$FIG9_MS" "$FIG11_MS"
+echo "== perf guard (perfbench graph-translate, probe-scaled)"
+# The BENCHMARK.json workload that runs all nine schemes' translation
+# paths. Fails if any unit fails its checks or if the probe-scaled
+# wall_s exceeds 1.25x the baseline committed in results/BENCH_trend.json.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload graph-translate --seed 0 --seconds 20 --trace 0 \
+    > "$SHARD_TMP/perfbench.txt"
+python3 scripts/bench_trend.py "$SHARD_TMP/perfbench.txt"
 
 echo "ci: all green"
