@@ -17,7 +17,7 @@
 use crate::layout::GraphInMemory;
 use dvm_mem::RowWord;
 use dvm_mmu::{dispatch, MemSystem, SchemeDispatch};
-use dvm_sim::{Cycles, Histogram};
+use dvm_sim::Cycles;
 use dvm_types::{Fault, VirtAddr, PAGE_SIZE};
 use std::marker::PhantomData;
 
@@ -60,8 +60,6 @@ pub struct RunResult {
     pub iterations: u32,
     /// Aggregate cycles the shared walker was busy, divided by its ports.
     pub walker_cycles: Cycles,
-    /// Distribution of per-access end-to-end latencies.
-    pub latency_hist: Histogram,
 }
 
 /// One of the paper's four graph workloads (§6.2).
@@ -112,24 +110,6 @@ impl Workload {
             _ => 4,
         }
     }
-
-    /// Paper defaults: BFS/SSSP from vertex 0, 2 PageRank sweeps, one
-    /// 32-feature CF sweep (matrix-factorization kernels typically use
-    /// ~30 latent features; the vector size also sets CF's TLB footprint).
-    pub fn default_set() -> [Workload; 4] {
-        [
-            Workload::Bfs { root: 0 },
-            Workload::PageRank { iterations: 2 },
-            Workload::Sssp {
-                root: 0,
-                max_iterations: 64,
-            },
-            Workload::Cf {
-                iterations: 1,
-                features: 32,
-            },
-        ]
-    }
 }
 
 impl core::fmt::Display for Workload {
@@ -153,7 +133,6 @@ struct Engines {
     rr: usize,
     walker_ports: u32,
     walker_busy_at_start: Cycles,
-    latency_hist: Histogram,
 }
 
 impl Engines {
@@ -166,7 +145,6 @@ impl Engines {
             rr: 0,
             walker_ports: cfg.walker_ports,
             walker_busy_at_start,
-            latency_hist: Histogram::new("access_latency"),
         }
     }
 
@@ -186,7 +164,6 @@ impl Engines {
 
     #[inline]
     fn charge(&mut self, engine: usize, mem_latency: Cycles) {
-        self.latency_hist.sample(mem_latency);
         self.clocks[engine] += mem_latency + self.stage;
     }
 
@@ -200,7 +177,6 @@ impl Engines {
             edges_processed,
             iterations,
             walker_cycles,
-            latency_hist: self.latency_hist,
         }
     }
 }

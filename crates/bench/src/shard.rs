@@ -27,8 +27,8 @@
 //! never change sweep output bytes.
 //!
 //! Reconstructed [`GraphRunReport`]s carry only the fields
-//! [`report_json`] serializes; `engine_cycles`, `walker_cycles` and the
-//! latency histogram come back empty. No formatting path reads them, and
+//! [`report_json`] serializes; `engine_cycles` and `walker_cycles` come
+//! back empty. No formatting path reads them, and
 //! re-serializing a reconstructed report yields the bytes it was parsed
 //! from.
 
@@ -41,7 +41,6 @@ use dvm_core::{
 };
 use dvm_graph::fnv1a;
 use dvm_pagetable::SizeReport;
-use dvm_sim::Histogram;
 use std::io::Write as _;
 use std::net::TcpListener;
 use std::path::Path;
@@ -269,7 +268,6 @@ pub(crate) fn report_from_json(
             iterations: u32::try_from(obj.expect_u64("iterations")?)
                 .map_err(|_| "iterations out of range".to_string())?,
             walker_cycles: 0,
-            latency_hist: Histogram::new("latency"),
         },
         accesses: obj.expect_u64("accesses")?,
         tlb: hit_miss("tlb")?,

@@ -1,12 +1,14 @@
-//! Scheme refactors must not change what a scheme simulates. Each
-//! fixture is a `--scale smoke --json` document recorded on the tree
-//! before a refactor of the scheme code:
+//! Scheme and MMU refactors must not change what a scheme simulates.
+//! Each fixture is a `--scale smoke --json` document recorded on the
+//! tree before a refactor of the scheme or MMU code:
 //!
 //! - `fig8_smoke.json` before the closed-enum `MmuConfig` became the
 //!   scheme trait (the seven paper schemes);
 //! - `fig11_smoke.json` before the conventional baselines and both SVA
 //!   rivals became rows of one TLB-backed scheme (SVA-Pf and SVA-IOMMU
-//!   appear only in Fig. 11).
+//!   appear only in Fig. 11);
+//! - `fig10_smoke.json` before the CPU MMU dropped its unread energy
+//!   account (the only figure that runs the cDVM CPU path).
 //!
 //! Any divergence means a scheme's behaviour, not just its plumbing,
 //! changed.
@@ -53,4 +55,9 @@ fn trait_dispatch_reproduces_the_pre_refactor_fig8_document() {
 #[test]
 fn tlb_scheme_rows_reproduce_the_pre_refactor_fig11_document() {
     assert_reproduces_fixture("fig11", env!("CARGO_BIN_EXE_fig11"), "fig11_smoke.json");
+}
+
+#[test]
+fn cpu_mmu_without_energy_account_reproduces_the_fig10_document() {
+    assert_reproduces_fixture("fig10", env!("CARGO_BIN_EXE_fig10"), "fig10_smoke.json");
 }

@@ -29,5 +29,5 @@ pub mod model;
 pub mod workloads;
 
 pub use mmu::{CpuMmu, CpuMmuConfig, CpuMmuStats, CpuScheme};
-pub use model::{evaluate, evaluate_all, CpuModelConfig, CpuRunReport};
+pub use model::{evaluate, CpuModelConfig, CpuRunReport};
 pub use workloads::{AccessStream, CpuWorkload, CpuWorkloadProfile};

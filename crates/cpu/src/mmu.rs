@@ -3,7 +3,6 @@
 //! 512-entry L2 DTLB), backed by a page-walk cache — or, under cDVM, the
 //! Access Validation Cache walking Permission-Entry tables.
 
-use dvm_energy::{EnergyAccount, EnergyParams, MmEvent};
 use dvm_mem::PhysMem;
 use dvm_mmu::{Associativity, PtCache, PtCacheConfig, PtcLookup, Tlb, TlbConfig, TlbEntry};
 use dvm_pagetable::PageTable;
@@ -102,9 +101,6 @@ pub struct CpuMmu {
     l2: Tlb,
     ptc: PtCache,
     config: CpuMmuConfig,
-    /// Energy account (kept for symmetry with the accelerator; Figure 10
-    /// is time-only).
-    pub energy: EnergyAccount,
     /// Statistics.
     pub stats: CpuMmuStats,
 }
@@ -130,7 +126,6 @@ impl CpuMmu {
                 page_size: page,
             }),
             ptc: PtCache::new(ptc),
-            energy: EnergyAccount::new(EnergyParams::default()),
             stats: CpuMmuStats {
                 walks: Counter::new("walks"),
                 walk_mem_refs: Counter::new("walk_mem_refs"),
@@ -160,7 +155,6 @@ impl CpuMmu {
         self.l2.reset_stats();
         self.stats.walks.reset();
         self.stats.walk_mem_refs.reset();
-        self.energy.reset();
     }
 
     /// Page-walk cycles charged to one access. TLB lookups themselves are
@@ -212,19 +206,13 @@ impl CpuMmu {
         let mut cost = 0;
         for step in walk.steps() {
             match self.ptc.access(step.pte_pa, step.level) {
-                PtcLookup::Hit => {
-                    cost += ptc_latency;
-                    self.energy.record(MmEvent::PtcLookup);
-                }
+                PtcLookup::Hit => cost += ptc_latency,
                 PtcLookup::Miss => {
                     cost += ptc_latency + walker_mem;
-                    self.energy.record(MmEvent::PtcLookup);
-                    self.energy.record(MmEvent::WalkerDram);
                     self.stats.walk_mem_refs.inc();
                 }
                 PtcLookup::Bypass => {
                     cost += walker_mem;
-                    self.energy.record(MmEvent::WalkerDram);
                     self.stats.walk_mem_refs.inc();
                 }
             }

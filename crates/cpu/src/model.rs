@@ -131,21 +131,6 @@ pub fn evaluate(
     })
 }
 
-/// Evaluate every workload under every scheme (the full Figure 10).
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-pub fn evaluate_all(config: &CpuModelConfig) -> Result<Vec<CpuRunReport>, DvmError> {
-    let mut out = Vec::new();
-    for workload in CpuWorkload::ALL {
-        for scheme in CpuScheme::ALL {
-            out.push(evaluate(workload, scheme, config)?);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,8 +23,9 @@
 //!
 //! [`NestedWalker`] models all four schemes over real page tables in
 //! simulated memory and reports entry reads, memory references and stall
-//! cycles per translation, which the `virt` harness and the ablation
-//! benches aggregate.
+//! cycles per translation, which the `virt` harness aggregates (a quick
+//! golden pins its output; reporting nested translation as a simulated
+//! ablation is a ROADMAP item).
 
 use crate::ptcache::{PtCache, PtCacheConfig, PtcLookup};
 use dvm_mem::{Dram, PhysMem};

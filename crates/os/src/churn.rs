@@ -135,12 +135,6 @@ impl ChurnEpoch {
         let total = self.mmaps();
         (total > 0).then(|| self.identity_maps as f64 / total as f64)
     }
-
-    /// Fallback-to-paging rate this epoch, `None` if no `mmap` ran.
-    pub fn fallback_rate(&self) -> Option<f64> {
-        let total = self.mmaps();
-        (total > 0).then(|| self.identity_fallbacks as f64 / total as f64)
-    }
 }
 
 /// The full time-series plus end-of-run bookkeeping.

@@ -142,21 +142,6 @@ impl Malloc {
     pub fn live_count(&self) -> usize {
         self.small_live.len() + self.large_live.len()
     }
-
-    /// Addresses of live allocations (small and large), for random-free
-    /// workloads.
-    pub fn live_addrs(&self) -> Vec<VirtAddr> {
-        let mut addrs: Vec<VirtAddr> = self
-            .small_live
-            .keys()
-            .chain(self.large_live.keys())
-            .map(|&a| VirtAddr::new(a))
-            .collect();
-        // HashMap iteration order is nondeterministic; callers (shbench)
-        // need reproducible victim selection.
-        addrs.sort_unstable();
-        addrs
-    }
 }
 
 #[cfg(test)]

@@ -98,14 +98,6 @@ impl Vma {
             Backing::Paged(frames) => frames[page_idx as usize],
         }
     }
-
-    /// Frames of the original (pre-CoW) backing, for sharing bookkeeping.
-    pub fn backing_frames(&self) -> Vec<u64> {
-        match &self.backing {
-            Backing::Identity(range) => (range.start..range.end()).collect(),
-            Backing::Paged(frames) => frames.clone(),
-        }
-    }
 }
 
 /// A simulated process: an address space plus its page table.
@@ -156,11 +148,6 @@ impl Process {
     /// Iterate over VMAs in address order.
     pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
         self.vmas.values()
-    }
-
-    /// Total mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.vmas.values().map(|v| v.len).sum()
     }
 
     /// Total identity-mapped bytes (paper's Table 4 numerator counts these).

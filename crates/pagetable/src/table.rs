@@ -273,7 +273,8 @@ impl PageTable {
     /// point (§4.1.1) that packs 4 (L2) or 8 (L3) regions into the spare
     /// bits of regular PTEs instead of adding a 16-field entry format.
     /// Coarser fields mean coarser slot alignment, so more regions fall
-    /// back to leaf tables; the `ablate_pe` benchmark quantifies this.
+    /// back to leaf tables (`coarse_pe_fields_need_coarser_alignment` and
+    /// `coarse_pe_tables_are_bigger` in `tests/table_ops.rs` show both).
     ///
     /// # Errors
     ///

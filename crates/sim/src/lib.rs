@@ -24,14 +24,12 @@
 //! assert!(t.render().contains("bfs"));
 //! ```
 
-pub mod hist;
 pub mod rng;
 pub mod stats;
 pub mod table;
 
-pub use hist::Histogram;
 pub use rng::DetRng;
-pub use stats::{Counter, MeanStat, RatioStat};
+pub use stats::{Counter, RatioStat};
 pub use table::Table;
 
 /// Simulated clock cycles.

@@ -161,73 +161,6 @@ impl fmt::Display for RatioStat {
     }
 }
 
-/// Running mean of an f64-valued sample stream.
-///
-/// # Examples
-///
-/// ```
-/// use dvm_sim::MeanStat;
-/// let mut m = MeanStat::new("latency");
-/// m.sample(10.0);
-/// m.sample(20.0);
-/// assert_eq!(m.mean(), 15.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MeanStat {
-    name: &'static str,
-    sum: f64,
-    count: u64,
-}
-
-impl MeanStat {
-    /// Create an empty mean with a display name.
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            sum: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Record a sample.
-    #[inline]
-    pub fn sample(&mut self, value: f64) {
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Mean of all samples; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
-
-impl fmt::Display for MeanStat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: mean {:.3} over {}",
-            self.name,
-            self.mean(),
-            self.count
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,17 +196,5 @@ mod tests {
         }
         assert!((r.miss_rate() + r.hit_rate() - 1.0).abs() < 1e-12);
         assert_eq!(r.hits() + r.misses(), r.total());
-    }
-
-    #[test]
-    fn mean_stat() {
-        let mut m = MeanStat::new("m");
-        assert_eq!(m.mean(), 0.0);
-        m.sample(2.0);
-        m.sample(4.0);
-        assert_eq!(m.mean(), 3.0);
-        assert_eq!(m.count(), 2);
-        assert_eq!(m.sum(), 6.0);
-        assert!(m.to_string().contains("mean 3.000"));
     }
 }

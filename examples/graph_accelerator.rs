@@ -45,17 +45,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let pe_plus = &reports[5];
     println!(
-        "DVM-PE+ validated {} accesses as identity ({} preloads overlapped, {} squashed)",
-        pe_plus.identity_validations, pe_plus.run.edges_processed, pe_plus.preload_squashes
+        "DVM-PE+ validated {} accesses as identity ({} preloads squashed)",
+        pe_plus.identity_validations, pe_plus.preload_squashes
     );
     println!(
         "speedup of DVM-PE+ over 4K conventional VM: {:.2}x",
         reports[0].cycles as f64 / pe_plus.cycles as f64
-    );
-    println!(
-        "access-latency tails (p99): 4K < {} cycles, DVM-PE+ < {} cycles",
-        reports[0].run.latency_hist.percentile(0.99),
-        pe_plus.run.latency_hist.percentile(0.99)
     );
     Ok(())
 }

@@ -154,8 +154,10 @@ echo "== golden-result diff (fig8 + fig9 + fig11, quick scale)"
 # replays, fig11 replays the 4K/DVM-PE+/Ideal columns and simulates
 # only the two SVA schemes) — the reproduce_all.sh arrangement. Host
 # speed is guarded by perfbench at the end, not by these wall times.
+# Two sweep threads: the fig2, fig11 and churn gates check that --jobs 2
+# output is byte-identical to serial, and it halves this step's time.
 for fig in fig8 fig9 fig11; do
-    target/release/$fig --scale quick --jobs 1 --cache-dir results/.dataset-cache \
+    target/release/$fig --scale quick --jobs 2 --cache-dir results/.dataset-cache \
         --report-cache "$SHARD_TMP/report-cache" \
         --json "$SHARD_TMP/${fig}_quick.json" > /dev/null
 done
