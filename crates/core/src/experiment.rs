@@ -11,32 +11,20 @@ use dvm_os::{MapFlavor, Os, OsConfig};
 use dvm_sim::Cycles;
 use dvm_types::DvmError;
 
-/// Configuration of one accelerator experiment.
+/// Configuration of one accelerator experiment. The machine is sized
+/// from the graph footprint, and the accelerator, DRAM and energy
+/// parameters are the paper defaults: a report-cache key names only the
+/// workload, dataset, divisor and scheme, so no other parameter may vary.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
     /// Memory-management scheme under test.
     pub mmu: SchemeId,
-    /// Machine memory; `None` sizes it automatically from the graph
-    /// footprint (with headroom for the 1 GiB-page flavour's padding).
-    pub machine_bytes: Option<u64>,
-    /// Accelerator parameters.
-    pub accel: AccelConfig,
-    /// DRAM parameters.
-    pub dram: DramConfig,
-    /// Energy parameters.
-    pub energy: EnergyParams,
 }
 
 impl ExperimentConfig {
     /// Paper-default configuration for a scheme.
     pub fn for_mmu(mmu: SchemeId) -> Self {
-        Self {
-            mmu,
-            machine_bytes: None,
-            accel: AccelConfig::default(),
-            dram: DramConfig::default(),
-            energy: EnergyParams::default(),
-        }
+        Self { mmu }
     }
 }
 
@@ -116,12 +104,9 @@ pub fn run_graph_experiment(
     graph: &Graph,
     config: &ExperimentConfig,
 ) -> Result<GraphRunReport, DvmError> {
-    let machine_bytes = config
-        .machine_bytes
-        .unwrap_or_else(|| auto_machine_bytes(graph.footprint_bytes(), config.mmu));
     let mut os = Os::new(OsConfig {
         machine: MachineConfig {
-            mem_bytes: machine_bytes,
+            mem_bytes: auto_machine_bytes(graph.footprint_bytes(), config.mmu),
         },
         flavor: flavor_for(config.mmu),
         maintain_bitmap: config.mmu.needs_bitmap(),
@@ -130,8 +115,8 @@ pub fn run_graph_experiment(
     let pid = os.spawn()?;
     let g = layout::load_graph(&mut os, pid, graph, workload.prop_stride())?;
 
-    let mut iommu = Iommu::new(config.mmu, config.energy);
-    let mut dram = Dram::new(config.dram);
+    let mut iommu = Iommu::new(config.mmu, EnergyParams::default());
+    let mut dram = Dram::new(DramConfig::default());
     let pt = os.process(pid)?.page_table;
     let bitmap = os.bitmap;
     let result = {
@@ -142,7 +127,7 @@ pub fn run_graph_experiment(
             &mut os.machine.mem,
             &mut dram,
         );
-        let (g, sys, accel) = (&g, &mut sys, &config.accel);
+        let (g, sys, accel) = (&g, &mut sys, &AccelConfig::default());
         // Every scheme runs monomorphized (the registry's virtual call
         // would otherwise keep the whole per-access path out of the
         // inliner's reach); the dynamic arm only keeps the match total.

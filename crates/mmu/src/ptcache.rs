@@ -95,12 +95,10 @@ pub struct PtCache {
     tags: Box<[u64]>,
     /// Valid tags per set.
     lens: Box<[u32]>,
-    num_sets: usize,
     /// Precomputed shift for `block_bytes` (asserted a power of two).
     block_shift: u32,
-    /// `num_sets - 1` when the set count is a power of two, replacing
-    /// the per-access modulo with a mask; `None` falls back to modulo.
-    set_mask: Option<u64>,
+    /// `num_sets - 1` (the set count is asserted a power of two).
+    set_mask: u64,
     stats: RatioStat,
 }
 
@@ -109,22 +107,25 @@ impl PtCache {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate geometry (zero sets or ways).
+    /// Panics on zero ways, or when the block size or the set count is
+    /// not a power of two (zero sets included).
     pub fn new(config: PtCacheConfig) -> Self {
         assert!(config.ways > 0, "cache needs ways");
-        assert!(config.num_sets() > 0, "cache needs sets");
+        let num_sets = config.num_sets();
         assert!(
             config.block_bytes.is_power_of_two(),
             "block size must be a power of two"
         );
-        let num_sets = config.num_sets();
+        assert!(
+            num_sets.is_power_of_two(),
+            "set count must be a power of two"
+        );
         Self {
             config,
             tags: vec![0; num_sets * config.ways as usize].into_boxed_slice(),
             lens: vec![0; num_sets].into_boxed_slice(),
-            num_sets,
             block_shift: config.block_bytes.trailing_zeros(),
-            set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
+            set_mask: num_sets as u64 - 1,
             stats: RatioStat::new("ptc"),
         }
     }
@@ -152,10 +153,7 @@ impl PtCache {
         // would dump the first entries of *every* table into set 0. Fold
         // the frame bits in (XOR hashing, as real walk caches do).
         let hashed = block ^ (block >> 6) ^ (block >> 12);
-        let set_idx = match self.set_mask {
-            Some(mask) => (hashed & mask) as usize,
-            None => (hashed % self.num_sets as u64) as usize,
-        };
+        let set_idx = (hashed & self.set_mask) as usize;
         let ways = self.config.ways as usize;
         let base = set_idx * ways;
         let len = self.lens[set_idx] as usize;
@@ -197,6 +195,16 @@ mod tests {
     fn paper_geometry() {
         // 128 PTEs * 8 B = 1 KiB; 64 B blocks -> 16 blocks; 4-way -> 4 sets.
         assert_eq!(PtCacheConfig::paper_avc().num_sets(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn rejects_non_power_of_two_set_count() {
+        // 96 PTEs * 8 B / 64 B = 12 blocks; 4-way -> 3 sets.
+        PtCache::new(PtCacheConfig {
+            pte_entries: 96,
+            ..PtCacheConfig::paper_avc()
+        });
     }
 
     #[test]
@@ -336,7 +344,7 @@ mod tests {
     impl PtCache {
         fn contents(&self) -> Vec<u64> {
             let ways = self.config.ways as usize;
-            let mut all: Vec<u64> = (0..self.num_sets)
+            let mut all: Vec<u64> = (0..self.lens.len())
                 .flat_map(|s| self.tags[s * ways..s * ways + self.lens[s] as usize].iter())
                 .copied()
                 .collect();

@@ -33,17 +33,12 @@ echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release (tier-1)"
+# The root manifest is a virtual workspace, so this builds every member:
+# the gates below run the bench and farm binaries from target/release.
 cargo build --release
-# The root package does not depend on the bench/farm *binaries*, so
-# build them explicitly — the gates below run them from target/release.
-cargo build --release -p dvm-bench
-cargo build --release -p dvm-farm
 
 echo "== cargo test (tier-1)"
 cargo test -q
-
-echo "== cargo test --workspace"
-cargo test --workspace -q
 
 echo "== cargo test --release (accel, mem, mmu)"
 # Debug builds panic on integer overflow and keep debug_assert!s; release

@@ -17,9 +17,9 @@ shift $(( $# > 0 ? 1 : 0 ))
 
 GOLDEN_DIR=results/golden
 BIN=target/release/resultdiff
-if [[ ! -x "$BIN" ]]; then
-    cargo build --release -q -p dvm-bench --bin resultdiff
-fi
+# Always build: a no-op when the binary is fresh, and a rebuild after an
+# edit to the diff or JSON code it links.
+cargo build --release -q -p dvm-bench --bin resultdiff
 
 if [[ $# -gt 0 ]]; then
     goldens=()
