@@ -2,7 +2,7 @@
 //! identity-mapping decay under buddy-allocator fragmentation.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin churn [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin churn [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 //!
 //! The paper evaluates identity mapping on fresh address spaces; this
@@ -70,17 +70,17 @@ fn main() {
     let args = BenchArgs::parse();
     args.reject_schemes("churn");
     let base = scenario(args.scale);
-    args.banner(&format!(
+    println!(
         "Churn: identity-mapping decay over {} epochs of fork/exec/exit, \
          {} MiB machine, scale = {}\n",
         base.epochs,
         base.mem_bytes >> 20,
         args.scale.name()
-    ));
+    );
 
     let grid = EpochGrid::new(CONFIGS.iter().map(|(name, _)| *name), base.epochs);
     let labels: Vec<String> = grid.configs.clone();
-    let series: Vec<Vec<ChurnEpoch>> = run_grid(&args, "churn", &labels, |i| {
+    let series: Vec<Vec<ChurnEpoch>> = run_grid(&args, &labels, |i| {
         let config = ChurnConfig {
             flavor: CONFIGS[i].1,
             ..base

@@ -3,7 +3,7 @@
 //! pages, and cDVM.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig10 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig10 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{run_grid, BenchArgs, FigureJson, Json, Scale};
@@ -20,15 +20,15 @@ fn main() {
         },
         ..CpuModelConfig::default()
     };
-    args.banner(&format!(
+    println!(
         "Figure 10: CPU VM overheads vs ideal, scale = {} ({} accesses/run)\n",
         args.scale.name(),
         config.accesses
-    ));
+    );
     // --schemes filters this binary's own CPU-scheme columns by name.
     let schemes = args.scheme_columns(&CpuScheme::ALL, |s| s.name());
     // The (workload × scheme) grid is shared-nothing, so it runs on the
-    // sharded grid runner like every other harness.
+    // grid runner like every other harness.
     let units: Vec<(CpuWorkload, CpuScheme)> = CpuWorkload::ALL
         .iter()
         .flat_map(|&w| schemes.iter().map(move |&s| (w, s)))
@@ -37,7 +37,7 @@ fn main() {
         .iter()
         .map(|(w, s)| format!("{}/{}", w.name(), s.name()))
         .collect();
-    let overheads: Vec<f64> = run_grid(&args, "fig10", &labels, |i| {
+    let overheads: Vec<f64> = run_grid(&args, &labels, |i| {
         let (workload, scheme) = units[i];
         evaluate_cpu(workload, scheme, &config)
             .expect("cpu model failed")

@@ -6,19 +6,19 @@
 //! workload × dataset grid as Figure 8.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig11 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig11 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
-use dvm_bench::{geomean, pair_label, run_sharded_sweep, BenchArgs, FigureJson, Json};
+use dvm_bench::{geomean, pair_label, run_sweep, BenchArgs, FigureJson, Json};
 use dvm_core::SchemeId;
 use dvm_sim::Table;
 
 fn main() {
     let args = BenchArgs::parse();
-    args.banner(&format!(
+    println!(
         "Figure 11: DVM vs SVA rivals, runtime normalized to Ideal, scale = {}\n",
         args.scale.name()
-    ));
+    );
     let selected = args.iommu_schemes(&[
         SchemeId::CONV_4K,
         SchemeId::DVM_PE_PLUS,
@@ -43,7 +43,7 @@ fn main() {
     let mut fig = FigureJson::new("fig11", args.scale.name(), &names);
     let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); shown.len()];
 
-    for cell in &run_sharded_sweep(&args, "fig11", &sweep) {
+    for cell in &run_sweep(&args, &sweep) {
         let ideal = cell
             .report_for(SchemeId::IDEAL)
             .expect("sweep includes Ideal")

@@ -2,19 +2,19 @@
 //! fully associative TLB, 4 KiB vs 2 MiB pages.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig2 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig2 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
-use dvm_bench::{pair_label, run_sharded_sweep, BenchArgs, FigureJson, Json};
+use dvm_bench::{pair_label, run_sweep, BenchArgs, FigureJson, Json};
 use dvm_core::SchemeId;
 use dvm_sim::Table;
 
 fn main() {
     let args = BenchArgs::parse();
-    args.banner(&format!(
+    println!(
         "Figure 2: TLB miss rates (128-entry FA TLB), scale = {}\n",
         args.scale.name()
-    ));
+    );
     let schemes = args.iommu_schemes(&[SchemeId::CONV_4K, SchemeId::CONV_2M]);
     // The figure's historical column labels for the default pair; a
     // --schemes selection uses registry names (schemes without a TLB
@@ -24,7 +24,7 @@ fn main() {
     } else {
         schemes.iter().map(|c| c.name().to_string()).collect()
     };
-    let cells = run_sharded_sweep(&args, "fig2", &schemes);
+    let cells = run_sweep(&args, &schemes);
 
     let mut header = vec!["workload/graph".to_string()];
     header.extend(names.iter().cloned());

@@ -2,19 +2,19 @@
 //! scheme, normalized to the Ideal (direct physical access) run.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig8 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig8 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
-use dvm_bench::{geomean, pair_label, run_sharded_sweep, BenchArgs, FigureJson, Json};
+use dvm_bench::{geomean, pair_label, run_sweep, BenchArgs, FigureJson, Json};
 use dvm_core::SchemeId;
 use dvm_sim::Table;
 
 fn main() {
     let args = BenchArgs::parse();
-    args.banner(&format!(
+    println!(
         "Figure 8: execution time normalized to Ideal, scale = {}\n",
         args.scale.name()
-    ));
+    );
     let selected = args.iommu_schemes(&SchemeId::PAPER_SET);
     // Ideal (== 1.0 by construction) is omitted as in the figure, but
     // always swept: every column normalizes to it.
@@ -34,7 +34,7 @@ fn main() {
     let mut fig = FigureJson::new("fig8", args.scale.name(), &names);
     let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); shown.len()];
 
-    for cell in &run_sharded_sweep(&args, "fig8", &sweep) {
+    for cell in &run_sweep(&args, &sweep) {
         let ideal = cell
             .report_for(SchemeId::IDEAL)
             .expect("sweep includes Ideal")

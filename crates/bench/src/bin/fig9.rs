@@ -2,19 +2,19 @@
 //! validation, normalized to the 4K TLB+PWC baseline.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig9 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig9 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
-use dvm_bench::{geomean, pair_label, run_sharded_sweep, BenchArgs, FigureJson, Json};
+use dvm_bench::{geomean, pair_label, run_sweep, BenchArgs, FigureJson, Json};
 use dvm_core::SchemeId;
 use dvm_sim::Table;
 
 fn main() {
     let args = BenchArgs::parse();
-    args.banner(&format!(
+    println!(
         "Figure 9: dynamic MM energy normalized to 4K,TLB+PWC, scale = {}\n",
         args.scale.name()
-    ));
+    );
     let baseline = SchemeId::CONV_4K;
     let selected = args.iommu_schemes(&SchemeId::PAPER_SET);
     // The figure shows 2M, 1G, DVM-BM, DVM-PE, DVM-PE+ relative to 4K
@@ -36,7 +36,7 @@ fn main() {
     let mut fig = FigureJson::new("fig9", args.scale.name(), &names);
     let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); shown.len()];
 
-    for cell in &run_sharded_sweep(&args, "fig9", &sweep) {
+    for cell in &run_sweep(&args, &sweep) {
         let base = cell
             .report_for(baseline)
             .expect("sweep includes 4K")

@@ -2,7 +2,7 @@
 //! Permission Entries.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin table1 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin table1 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{run_grid, BenchArgs, FigureJson, Json};
@@ -12,10 +12,10 @@ use dvm_sim::Table;
 fn main() {
     let args = BenchArgs::parse();
     args.reject_schemes("table1");
-    args.banner(&format!(
+    println!(
         "Table 1: page-table sizes (PageRank for graph inputs, CF for bipartite), scale = {}\n",
         args.scale.name()
-    ));
+    );
     let datasets: Vec<Dataset> = Dataset::ALL
         .into_iter()
         .filter(|&d| args.wants(d))
@@ -24,7 +24,7 @@ fn main() {
         .iter()
         .map(|d| d.short_name().to_string())
         .collect();
-    let studies: Vec<PageTableStudy> = run_grid(&args, "table1", &labels, |i| {
+    let studies: Vec<PageTableStudy> = run_grid(&args, &labels, |i| {
         let dataset = datasets[i];
         let workload = if dataset.is_bipartite() {
             Workload::Cf {

@@ -2,7 +2,7 @@
 //! synthetic stand-ins generated at the selected scale.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin table3 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin table3 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{run_grid, BenchArgs, FigureJson, Json};
@@ -12,10 +12,10 @@ use dvm_sim::Table;
 fn main() {
     let args = BenchArgs::parse();
     args.reject_schemes("table3");
-    args.banner(&format!(
+    println!(
         "Table 3: graph datasets (published vs generated stand-ins), scale = {}\n",
         args.scale.name()
-    ));
+    );
     let datasets: Vec<Dataset> = Dataset::ALL
         .into_iter()
         .filter(|&d| args.wants(d))
@@ -25,7 +25,7 @@ fn main() {
         .map(|d| d.short_name().to_string())
         .collect();
     // Generation is the entire cost of this table; fan it out.
-    let generated: Vec<[u64; 3]> = run_grid(&args, "table3", &labels, |i| {
+    let generated: Vec<[u64; 3]> = run_grid(&args, &labels, |i| {
         let graph = args.generate_graph(datasets[i]);
         [
             u64::from(graph.num_vertices()),

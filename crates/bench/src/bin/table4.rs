@@ -2,7 +2,7 @@
 //! identity mapping under shbench churn, for 16/32/64 GiB machines.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin table4 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin table4 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 //!
 //! `smoke`/`quick` use 4/8/16 GiB machines; `paper`/`full` the published
@@ -22,17 +22,17 @@ fn main() {
         Scale::Smoke | Scale::Quick => &[4, 8, 16],
         _ => &[16, 32, 64],
     };
-    args.banner(&format!(
+    println!(
         "Table 4: % of memory identity-mapped at first failure (shbench), scale = {}\n",
         args.scale.name()
-    ));
+    );
     let experiments: [Experiment; 3] = [
         ("expt 1 (small)", ShbenchConfig::experiment1),
         ("expt 2 (large)", ShbenchConfig::experiment2),
         ("expt 3 (4x large)", ShbenchConfig::experiment3),
     ];
     // Every (machine size, experiment) cell builds its own OS, so the
-    // grid is shared-nothing and runs on the sharded grid runner.
+    // grid is shared-nothing and runs on the grid runner.
     let units: Vec<(u64, usize)> = gib
         .iter()
         .flat_map(|&g| (0..experiments.len()).map(move |e| (g, e)))
@@ -41,7 +41,7 @@ fn main() {
         .iter()
         .map(|&(g, e)| format!("{g}GB/{}", experiments[e].0))
         .collect();
-    let percents: Vec<f64> = run_grid(&args, "table4", &labels, |i| {
+    let percents: Vec<f64> = run_grid(&args, &labels, |i| {
         let (g, e) = units[i];
         let mut os = Os::new(OsConfig {
             machine: MachineConfig { mem_bytes: g << 30 },

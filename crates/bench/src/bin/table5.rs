@@ -28,9 +28,9 @@ fn main() {
     args.reject_schemes("table5");
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     let crates = manifest.parent().expect("crates dir");
-    args.banner("Table 5: implementation size per affected feature\n");
-    args.banner("(The paper patched Linux; we built the substrate from scratch, so");
-    args.banner("our column is the size of the module implementing each feature.)\n");
+    println!("Table 5: implementation size per affected feature\n");
+    println!("(The paper patched Linux; we built the substrate from scratch, so");
+    println!("our column is the size of the module implementing each feature.)\n");
 
     let rows: &[(&str, u64, &[&str])] = &[
         (
@@ -63,7 +63,7 @@ fn main() {
         .iter()
         .map(|(feature, _, _)| feature.to_string())
         .collect();
-    let ours_counts: Vec<u64> = run_grid(&args, "table5", &labels, |i| {
+    let ours_counts: Vec<u64> = run_grid(&args, &labels, |i| {
         rows[i].2.iter().map(|f| loc(&crates.join(f))).sum::<u64>()
     });
 

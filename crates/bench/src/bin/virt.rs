@@ -5,7 +5,7 @@
 //! can eliminate it entirely.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin virt [--jobs N] [--shards N] [--json PATH]
+//! cargo run --release -p dvm-bench --bin virt [--jobs N] [--json PATH]
 //! ```
 
 use dvm_bench::{run_grid, BenchArgs, FigureJson, Json};
@@ -91,18 +91,18 @@ fn main() {
     let span: u64 = 256 << 20;
     let base = VirtAddr::new(1 << 30);
     let translations = 200_000u64;
-    args.banner(&format!(
+    println!(
         "Nested translation (guest heap {} MiB, {} random translations)\n",
         span >> 20,
         translations
-    ));
+    );
 
     // --schemes filters this binary's own nested-scheme rows by name.
     let schemes = args.scheme_columns(&NestedScheme::ALL, |s| s.name());
     // Each scheme builds its own memory, page tables and walker; the
-    // measurements run on the sharded grid runner.
+    // measurements run on the grid runner.
     let labels: Vec<String> = schemes.iter().map(|s| s.name().to_string()).collect();
-    let results: Vec<[f64; 3]> = run_grid(&args, "virt", &labels, |i| {
+    let results: Vec<[f64; 3]> = run_grid(&args, &labels, |i| {
         measure(schemes[i], span, base, translations)
     });
 

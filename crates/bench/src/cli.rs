@@ -12,12 +12,8 @@
 //! --scale smoke|quick|paper|full  dataset sizing (default: quick)
 //! --datasets FR,Wiki,...          restrict to some inputs
 //! --schemes a,b,c                 restrict to some translation schemes
-//! --jobs N                        worker threads per process (0 = all cores)
+//! --jobs N                        worker threads (0 = all cores)
 //! --json PATH                     also write the machine-readable document
-//! --shards N                      fan the grid out over N worker processes
-//!                                 (a loopback farm; with --farm, the slice count)
-//! --shard I/N                     run only shard I, print a fragment, exit
-//! --farm HOST:PORT                run the grid on a farmd coordinator's workers
 //! --cache-dir DIR                 on-disk dataset cache (see dvm-graph)
 //! --report-cache DIR              per-unit report cache shared across binaries
 //! --progress                      per-cell progress lines on stderr
@@ -28,35 +24,6 @@ use dvm_core::{SchemeId, SweepSpec};
 use dvm_graph::{Dataset, DatasetCache};
 use std::fmt;
 use std::path::PathBuf;
-
-/// A worker's slice of the grid: shard `index` of `count`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// Zero-based shard index.
-    pub index: usize,
-    /// Total shards the grid is split into.
-    pub count: usize,
-}
-
-impl fmt::Display for Shard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
-/// Which of the sharding roles this process plays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardRole {
-    /// Run the whole grid in this process (the default).
-    Single,
-    /// Run one shard and print its fragment document on stdout (the farm
-    /// worker's role; no other stdout contract).
-    Worker(Shard),
-    /// Run the sweep on a farm and merge the fragments its workers send
-    /// back: a `farmd` coordinator (`--farm host:port`), or with a bare
-    /// `--shards N` a loopback farm of N local workers.
-    Farm,
-}
 
 /// Typed options for a bench binary.
 #[derive(Debug)]
@@ -70,18 +37,10 @@ pub struct BenchArgs {
     /// through the registry ([`Self::iommu_schemes`]), while fig10/virt
     /// match them against their own CPU/nested scheme names.
     pub schemes: Option<Vec<String>>,
-    /// Sweep worker threads per process: `0` = all cores, `1` = serial.
+    /// Sweep worker threads: `0` = all cores, `1` = serial.
     pub jobs: usize,
     /// Where to write the machine-readable results, if anywhere.
     pub json: Option<PathBuf>,
-    /// Farm: number of slices (and, without `--farm`, of loopback
-    /// worker processes).
-    pub shards: Option<usize>,
-    /// Worker: the slice of the grid this process runs.
-    pub shard: Option<Shard>,
-    /// Submit the sweep to this `farmd` coordinator (`host:port`)
-    /// instead of running locally.
-    pub farm: Option<String>,
     /// Opened dataset cache, when `--cache-dir` was given.
     pub cache: Option<DatasetCache>,
     /// Opened per-unit report cache, when `--report-cache` was given.
@@ -109,25 +68,17 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
        [--schemes a,b,c]
        [--jobs N] [--json PATH] [--progress] [--cache-dir DIR]
        [--report-cache DIR]
-       [--shards N | --shard I/N]
-       [--farm HOST:PORT]
 
   --scale        dataset sizing (default: quick; smoke is for CI/tests)
   --datasets     comma-separated short names; others are skipped
   --schemes      comma-separated translation-scheme names; the sweep is
                  restricted to them (paper names contain commas, so
                  spell those with '-': e.g. 4K-TLB+PWC, or just 4K)
-  --jobs         worker threads per process (0 = all cores, default 1)
+  --jobs         worker threads (0 = all cores, default 1)
   --json         also write the machine-readable document to PATH
   --progress     per-cell progress lines on stderr (stdout is untouched)
   --cache-dir    load/store generated datasets in an on-disk cache
-  --report-cache reuse per-unit sweep reports across figure binaries
-  --shards       fan the grid out over N worker processes and merge
-  --shard        run only shard I of N, print its fragment on stdout and
-                 exit (the farm worker's role)
-  --farm         submit the sweep to a farmd coordinator and merge the
-                 fragments its workers return (with --shards N, ask for
-                 N slices; default: one slice per connected worker)";
+  --report-cache reuse per-unit sweep reports across figure binaries";
 
 impl BenchArgs {
     /// Parse an argument list (without the program name).
@@ -145,9 +96,6 @@ impl BenchArgs {
         let mut schemes = None;
         let mut jobs = 1usize;
         let mut json = None;
-        let mut shards = None;
-        let mut shard = None;
-        let mut farm = None;
         let mut cache_dir: Option<PathBuf> = None;
         let mut report_dir: Option<PathBuf> = None;
         let mut progress = false;
@@ -196,42 +144,6 @@ impl BenchArgs {
                     })?;
                 }
                 "--json" => json = Some(PathBuf::from(value_of("--json", &mut args)?)),
-                "--shards" => {
-                    let v = value_of("--shards", &mut args)?;
-                    let n: usize = v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        err(format!("--shards needs a positive integer, got '{v}'"))
-                    })?;
-                    shards = Some(n);
-                }
-                "--shard" => {
-                    let v = value_of("--shard", &mut args)?;
-                    // One message for every malformed shape — no slash,
-                    // non-numeric I or N, N = 0, I >= N — so every
-                    // binary rejects bad slices identically (exit 2).
-                    let bad = || {
-                        err(format!(
-                            "--shard needs I/N with 0 <= I < N (e.g. 0/4), got '{v}'"
-                        ))
-                    };
-                    let (i, n) = v.split_once('/').ok_or_else(bad)?;
-                    let parsed = (i.parse::<usize>(), n.parse::<usize>());
-                    shard = match parsed {
-                        (Ok(index), Ok(count)) if count >= 1 && index < count => {
-                            Some(Shard { index, count })
-                        }
-                        _ => return Err(bad()),
-                    };
-                }
-                "--farm" => {
-                    let v = value_of("--farm", &mut args)?;
-                    let valid = v.rsplit_once(':').is_some_and(|(host, port)| {
-                        !host.is_empty() && port.parse::<u16>().is_ok()
-                    });
-                    if !valid {
-                        return Err(err(format!("--farm needs HOST:PORT, got '{v}'")));
-                    }
-                    farm = Some(v);
-                }
                 "--cache-dir" => {
                     cache_dir = Some(PathBuf::from(value_of("--cache-dir", &mut args)?));
                 }
@@ -246,14 +158,6 @@ impl BenchArgs {
             }
         }
 
-        if shards.is_some() && shard.is_some() {
-            return Err(err("--shards and --shard are mutually exclusive"));
-        }
-        // --farm composes with --shards (the requested slice count) but
-        // not with --shard: a farm worker already is a --shard process.
-        if farm.is_some() && shard.is_some() {
-            return Err(err("--farm cannot be combined with --shard"));
-        }
         let cache = match cache_dir {
             None => None,
             Some(dir) => Some(
@@ -274,9 +178,6 @@ impl BenchArgs {
             schemes,
             jobs,
             json,
-            shards,
-            shard,
-            farm,
             cache,
             reports,
             progress,
@@ -299,30 +200,11 @@ impl BenchArgs {
         }
     }
 
-    /// This process's sharding role.
-    pub fn role(&self) -> ShardRole {
-        if let Some(shard) = self.shard {
-            ShardRole::Worker(shard)
-        } else if self.farm.is_some() || self.shards.is_some() {
-            ShardRole::Farm
-        } else {
-            ShardRole::Single
-        }
-    }
-
     /// `true` if `dataset` passed the filter.
     pub fn wants(&self, dataset: Dataset) -> bool {
         self.datasets
             .as_ref()
             .is_none_or(|list| list.iter().any(|n| n == dataset.short_name()))
-    }
-
-    /// Print a banner line on stdout — skipped in worker mode, whose
-    /// stdout carries nothing but the fragment document.
-    pub fn banner(&self, line: &str) {
-        if self.shard.is_none() {
-            println!("{line}");
-        }
     }
 
     /// The paper pairs that pass the dataset filter, as a sweep spec over
@@ -473,38 +355,6 @@ impl BenchArgs {
             }
         }
     }
-
-    /// The argv submitted with a farm job: the grid-defining flags every
-    /// worker needs — scale, filters, jobs, caches, progress — minus any
-    /// role flag. Farm workers append `--shard I/N` themselves per slice (and may override the cache paths with local
-    /// ones).
-    pub fn farm_argv(&self) -> Vec<String> {
-        let mut argv = vec!["--scale".to_string(), self.scale.name().to_string()];
-        if let Some(datasets) = &self.datasets {
-            argv.push("--datasets".to_string());
-            argv.push(datasets.join(","));
-        }
-        if let Some(schemes) = &self.schemes {
-            // Tokens are comma-free by construction (parsing split on
-            // commas), so joining with ',' round-trips.
-            argv.push("--schemes".to_string());
-            argv.push(schemes.join(","));
-        }
-        argv.push("--jobs".to_string());
-        argv.push(self.jobs.to_string());
-        if let Some(cache) = &self.cache {
-            argv.push("--cache-dir".to_string());
-            argv.push(cache.dir().display().to_string());
-        }
-        if let Some(reports) = &self.reports {
-            argv.push("--report-cache".to_string());
-            argv.push(reports.dir().display().to_string());
-        }
-        if self.progress {
-            argv.push("--progress".to_string());
-        }
-        argv
-    }
 }
 
 #[cfg(test)]
@@ -515,21 +365,12 @@ mod tests {
         BenchArgs::try_parse(args.iter().map(|s| s.to_string()))
     }
 
-    /// What a farm worker runs for slice `index` of `count`: the job's
-    /// [`BenchArgs::farm_argv`] plus the shard tail it appends.
-    fn slice_argv(args: &BenchArgs, index: usize, count: usize) -> Vec<String> {
-        let mut argv = args.farm_argv();
-        argv.extend(["--shard".to_string(), format!("{index}/{count}")]);
-        argv
-    }
-
     #[test]
     fn defaults_match_the_old_harness() {
         let args = parse(&[]).unwrap();
         assert_eq!(args.scale, Scale::Quick);
         assert_eq!(args.jobs, 1);
         assert!(args.datasets.is_none() && args.json.is_none());
-        assert_eq!(args.role(), ShardRole::Single);
         assert!(!args.progress && args.cache.is_none());
     }
 
@@ -560,71 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_roles_parse_and_exclude_each_other() {
-        assert_eq!(
-            parse(&["--shard", "1/3"]).unwrap().role(),
-            ShardRole::Worker(Shard { index: 1, count: 3 })
-        );
-        // A bare --shards N is a loopback farm of N workers.
-        let args = parse(&["--shards", "4"]).unwrap();
-        assert_eq!(args.role(), ShardRole::Farm);
-        assert!(args.farm.is_none());
-        assert_eq!(args.shards, Some(4));
-        assert!(parse(&["--shard", "3/3"]).is_err());
-        assert!(parse(&["--shard", "x/3"]).is_err());
-        assert!(parse(&["--shards", "0"]).is_err());
-        assert!(parse(&["--shards", "2", "--shard", "0/2"]).is_err());
-    }
-
-    #[test]
-    fn bad_shards_share_one_message() {
-        // Every malformed shape — no slash, bad numbers, N = 0, I >= N —
-        // produces the same diagnostic across all binaries.
-        for bad in ["0/0", "3/3", "7/2", "x/3", "1/y", "2", "/", "1/", "-1/3"] {
-            let msg = parse(&["--shard", bad]).unwrap_err().0;
-            assert_eq!(
-                msg,
-                format!("--shard needs I/N with 0 <= I < N (e.g. 0/4), got '{bad}'")
-            );
-        }
-    }
-
-    #[test]
-    fn farm_parses_and_excludes_worker_roles() {
-        let args = parse(&["--farm", "127.0.0.1:9000"]).unwrap();
-        assert_eq!(args.farm.as_deref(), Some("127.0.0.1:9000"));
-        assert_eq!(args.role(), ShardRole::Farm);
-        // --shards under --farm is the requested slice count.
-        let args = parse(&["--farm", "host:1", "--shards", "4"]).unwrap();
-        assert_eq!(args.role(), ShardRole::Farm);
-        assert_eq!(args.shards, Some(4));
-        for bad in ["nohost", "host:", ":9000", "host:notaport", "host:99999"] {
-            assert!(parse(&["--farm", bad]).unwrap_err().0.contains("HOST:PORT"));
-        }
-        assert!(parse(&["--farm", "h:1", "--shard", "0/2"]).is_err());
-    }
-
-    #[test]
-    fn farm_argv_carries_the_grid_but_no_role_flag() {
-        let args = parse(&[
-            "--farm",
-            "h:1",
-            "--shards",
-            "3",
-            "--scale",
-            "smoke",
-            "--jobs",
-            "2",
-            "--progress",
-        ])
-        .unwrap();
-        assert_eq!(
-            args.farm_argv(),
-            ["--scale", "smoke", "--jobs", "2", "--progress"].map(String::from)
-        );
-    }
-
-    #[test]
     fn bad_input_is_described() {
         assert!(parse(&["--scale", "huge"])
             .unwrap_err()
@@ -639,24 +415,62 @@ mod tests {
             .0
             .contains("integer"));
         assert!(parse(&["--jobs"]).unwrap_err().0.contains("needs a value"));
-        // The removed intra-unit lane flag is an unknown argument (exit 2).
-        assert!(parse(&["--lanes", "2"]).is_err());
-        assert!(parse(&["--lanes", "2"])
-            .unwrap_err()
-            .0
-            .contains("unknown argument '--lanes'"));
+        // Removed flags — the intra-unit lanes, the multi-process sweep
+        // and its farm — are unknown arguments (exit 2), so a stale
+        // script fails instead of running something else.
+        for (name, value) in [
+            ("lanes", "2"),
+            ("shards", "2"),
+            ("shard", "0/2"),
+            ("farm", "h:1"),
+        ] {
+            let flag = format!("--{name}");
+            let msg = parse(&[&flag, value]).unwrap_err().0;
+            assert!(
+                msg.contains(&format!("unknown argument '{flag}'")),
+                "{flag}: {msg}"
+            );
+        }
         assert!(parse(&["--frobnicate"]).unwrap_err().0.contains("usage:"));
     }
 
     #[test]
     fn report_cache_flag_opens_and_propagates_to_workers() {
         let dir = std::env::temp_dir().join(format!("dvm-cli-rc-{}", std::process::id()));
-        let args = parse(&["--report-cache", dir.to_str().unwrap()]).unwrap();
-        let reports = args.reports.as_ref().expect("report cache opened");
+        let argv = [
+            "--report-cache",
+            dir.to_str().unwrap(),
+            "--scale",
+            "smoke",
+            "--datasets",
+            "FR",
+            "--jobs",
+            "2",
+        ];
+        let cold = parse(&argv).unwrap();
+        let reports = cold.reports.as_ref().expect("report cache opened");
         assert_eq!(reports.dir(), dir.as_path());
-        let argv = args.farm_argv();
-        let pos = argv.iter().position(|a| a == "--report-cache").unwrap();
-        assert_eq!(argv[pos + 1], dir.display().to_string());
+        assert!(dir.is_dir());
+        // The `--jobs` worker threads store into the cache the flag opened,
+        // so a second run loads every unit from it.
+        let first = crate::run_sweep(&cold, &[SchemeId::IDEAL]);
+        assert!(first.len() > 1, "FR runs more than one workload");
+        assert_eq!(reports.hits(), 0);
+        assert!(reports.misses() > 0);
+        let warm = parse(&argv).unwrap();
+        let second = crate::run_sweep(&warm, &[SchemeId::IDEAL]);
+        let warm_reports = warm.reports.as_ref().unwrap();
+        assert_eq!(warm_reports.hits(), reports.misses());
+        assert_eq!(warm_reports.misses(), 0);
+        // Loaded reports hold what `report_json` serializes, so compare
+        // in that form.
+        let rendered = |cells: &[dvm_core::CellReports]| {
+            cells
+                .iter()
+                .flat_map(|c| c.reports.iter().map(|r| crate::report_json(r).to_string()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rendered(&first), rendered(&second));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -679,6 +493,22 @@ mod tests {
             dup.try_iommu_schemes(&[]).unwrap(),
             vec![SchemeId::IDEAL, SchemeId::DVM_BM]
         );
+    }
+
+    #[test]
+    fn schemes_flag_reaches_workers() {
+        // The sweep spec is what the `--jobs` threads run: every cell must
+        // carry exactly the schemes the flag named, in command-line order.
+        let args = parse(&["--schemes", "DVM-PE+,SVA-IOMMU", "--jobs", "2"]).unwrap();
+        assert_eq!(args.jobs, 2);
+        let spec = args.sweep_spec(&args.iommu_schemes(&[SchemeId::IDEAL]));
+        assert!(!spec.cells.is_empty());
+        for cell in &spec.cells {
+            assert_eq!(
+                cell.schemes,
+                vec![SchemeId::DVM_PE_PLUS, SchemeId::SVA_IOMMU]
+            );
+        }
     }
 
     #[test]
@@ -706,30 +536,6 @@ mod tests {
         assert!(
             msg.contains("unknown scheme 'nope'") && msg.contains("cDVM"),
             "{msg}"
-        );
-    }
-
-    #[test]
-    fn schemes_flag_reaches_workers() {
-        let submitter = parse(&["--schemes", "DVM-PE+,SVA-IOMMU"]).unwrap();
-        let worker = BenchArgs::try_parse(slice_argv(&submitter, 0, 2)).unwrap();
-        assert_eq!(worker.schemes, submitter.schemes);
-        assert_eq!(
-            worker.try_iommu_schemes(&[]).unwrap(),
-            vec![SchemeId::DVM_PE_PLUS, SchemeId::SVA_IOMMU]
-        );
-    }
-
-    #[test]
-    fn farm_argv_round_trips_through_the_parser() {
-        let submitter = parse(&["--scale", "smoke", "--datasets", "FR", "--jobs", "2"]).unwrap();
-        let worker = BenchArgs::try_parse(slice_argv(&submitter, 1, 2)).unwrap();
-        assert_eq!(worker.scale, submitter.scale);
-        assert_eq!(worker.datasets, submitter.datasets);
-        assert_eq!(worker.jobs, submitter.jobs);
-        assert_eq!(
-            worker.role(),
-            ShardRole::Worker(Shard { index: 1, count: 2 })
         );
     }
 }

@@ -9,15 +9,14 @@
 //! Output is deterministic: object keys keep insertion order, floats use
 //! Rust's shortest round-trip formatting, and nothing (timestamps, job
 //! counts, hostnames) that varies between equivalent runs is emitted —
-//! a parallel or sharded sweep's JSON is byte-identical to a serial
-//! one's.
+//! a `--jobs N` sweep's JSON is byte-identical to a serial one's.
 //!
 //! Every emitted document starts with the same two header fields, built
 //! by [`JsonDoc`]: `schema_version` (bumped when the layout of any
-//! document changes) and `experiment`. Consumers — the shard merger, the
+//! document changes) and `experiment`. Consumers — the report cache, the
 //! result-diff harness — call [`validate_header`] before trusting a
-//! file, so a stale fragment or a mismatched golden fails loudly instead
-//! of merging garbage.
+//! file, so a stale cache entry or a mismatched golden fails loudly
+//! instead of being read as garbage.
 
 use dvm_core::GraphRunReport;
 use std::fmt;
@@ -25,7 +24,7 @@ use std::io;
 use std::path::Path;
 
 /// Version of every emitted document's layout. Bump on any change to the
-/// shape of figure documents or shard fragments.
+/// shape of figure documents or report-cache entries.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// A JSON value with deterministic rendering.
@@ -210,7 +209,7 @@ impl fmt::Display for Json {
 /// document this crate emits.
 ///
 /// Nesting is capped at `MAX_DEPTH` (64) containers, so hostile input (a
-/// corrupt farm fragment or cache entry) cannot overflow the stack.
+/// corrupt cache entry) cannot overflow the stack.
 ///
 /// # Errors
 ///
@@ -488,6 +487,45 @@ pub fn report_json(r: &GraphRunReport) -> Json {
         ("edges_processed", Json::UInt(r.run.edges_processed)),
         ("iterations", Json::UInt(u64::from(r.run.iterations))),
     ])
+}
+
+/// A per-unit result serialized as one JSON value. Only a churn unit's
+/// trajectory implements it: perfbench's `os-churn` workload renders its
+/// units through it, and its output bytes must not change.
+pub trait ShardValue {
+    /// Serialize the value.
+    fn to_json(&self) -> Json;
+}
+
+/// A churn trajectory is an array of per-epoch counter objects. Only
+/// integers are carried; derived rates are computed by the formatter.
+impl ShardValue for Vec<dvm_core::ChurnEpoch> {
+    fn to_json(&self) -> Json {
+        Json::Arr(
+            self.iter()
+                .map(|e| {
+                    Json::obj([
+                        ("epoch", Json::UInt(u64::from(e.epoch))),
+                        ("live_procs", Json::UInt(e.live_procs)),
+                        ("identity_maps", Json::UInt(e.identity_maps)),
+                        ("identity_fallbacks", Json::UInt(e.identity_fallbacks)),
+                        (
+                            "identity_bytes_requested",
+                            Json::UInt(e.identity_bytes_requested),
+                        ),
+                        ("identity_bytes_padded", Json::UInt(e.identity_bytes_padded)),
+                        ("demand_bytes", Json::UInt(e.demand_bytes)),
+                        ("cow_breaks", Json::UInt(e.cow_breaks)),
+                        ("oom_events", Json::UInt(e.oom_events)),
+                        ("free_frames", Json::UInt(e.free_frames)),
+                        ("free_runs", Json::UInt(e.free_runs)),
+                        ("largest_run", Json::UInt(e.largest_run)),
+                        ("sub_granule_runs", Json::UInt(e.sub_granule_runs)),
+                    ])
+                })
+                .collect(),
+        )
+    }
 }
 
 /// Accumulates one harness's machine-readable output: the same grid as

@@ -4,11 +4,9 @@
 //! The crate is organised as three layers the binaries compose:
 //!
 //! * [`cli`] — the one typed command line ([`BenchArgs`]) every binary
-//!   parses, including the sharding flags,
-//! * [`shard`] — the multi-process sweep runner: a farm (remote, or a
-//!   loopback one for `--shards N`) runs the binary as `--shard I/N`
-//!   workers, and their raw-result fragments are merged and formatted
-//!   exactly once, so N-shard output is byte-identical to the serial run,
+//!   parses,
+//! * [`runner`] — the grid runners: [`run_sweep`] for the graph sweeps,
+//!   [`run_grid`] for every other grid,
 //! * [`json`] — the hand-rolled JSON layer: [`JsonDoc`] builder (every
 //!   document opens with `schema_version` + `experiment`), renderer,
 //!   parser and header validation.
@@ -23,21 +21,22 @@
 //! * `full`  — unscaled Table 3 sizes (hours; needs ~16 GiB of host RAM).
 //!
 //! All binaries execute through [`dvm_core::sweep`], so `--jobs N` runs
-//! the shared-nothing (scheme × workload × dataset) grid on N threads —
-//! and `--shards N` across N processes — while producing output
-//! byte-identical to the serial run.
+//! the shared-nothing (scheme × workload × dataset) grid on N threads
+//! while producing output byte-identical to the serial run.
 
 pub mod cli;
 pub mod diff;
 pub mod json;
 pub mod reportcache;
-pub mod shard;
+pub mod runner;
 
-pub use cli::{BenchArgs, CliError, Shard, ShardRole};
+pub use cli::{BenchArgs, CliError};
 pub use diff::diff_json;
-pub use json::{parse, report_json, validate_header, FigureJson, Json, JsonDoc, SCHEMA_VERSION};
+pub use json::{
+    parse, report_json, validate_header, FigureJson, Json, JsonDoc, ShardValue, SCHEMA_VERSION,
+};
 pub use reportcache::ReportCache;
-pub use shard::{run_grid, run_sharded_sweep, ShardValue};
+pub use runner::{run_grid, run_sweep};
 
 use dvm_core::{Dataset, Workload};
 use std::fmt::Write as _;

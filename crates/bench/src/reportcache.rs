@@ -8,13 +8,13 @@
 //! on the next request, so one simulation pass serves every figure that
 //! shares the grid.
 //!
-//! Correctness rests on the same round-trip contract as the shard
-//! fragments: entries hold exactly the [`report_json`] serialization the
-//! formatters consume, and re-serializing a reconstructed report yields
-//! the bytes it was parsed from (asserted by the fragment tests in
-//! [`crate::shard`]). A cached run's output is therefore byte-identical
-//! to an uncached one. Simulations are deterministic, so the *values*
-//! are the runs' values — the cache only skips redundant replay.
+//! Correctness rests on a round-trip contract: entries hold exactly the
+//! [`report_json`] serialization the formatters consume, and
+//! re-serializing a report rebuilt by `report_from_json` yields the
+//! bytes it was parsed from (asserted by this module's tests). A cached
+//! run's output is therefore byte-identical to an uncached one.
+//! Simulations are deterministic, so the *values* are the runs' values —
+//! the cache only skips redundant replay.
 //!
 //! Entries are keyed by the full unit identity (workload with all its
 //! parameters, dataset, shrink divisor, MMU scheme); the key is stored
@@ -30,17 +30,16 @@
 //! compares: by the round-trip contract an intact entry matches exactly,
 //! and a damaged one (a flipped digit still parses) is a miss that
 //! simulates the unit again. Writes go through
-//! [`dvm_graph::write_atomic`], so neither shard workers nor `--jobs N`
-//! threads racing on one entry ever publish a torn file, and opening
-//! the directory sweeps tmp files that killed writers left behind
+//! [`dvm_graph::write_atomic`], so neither separate processes nor
+//! `--jobs N` threads racing on one entry ever publish a torn file, and
+//! opening the directory sweeps tmp files that killed writers left behind
 //! ([`dvm_graph::open_dir`]). The directory is unbounded: the cache is
 //! meant to live for one `reproduce_all.sh` invocation (the script
 //! clears it up front, and a whole quick grid of reports is tens of
 //! KB), and entries do not try to survive simulator changes.
 
-use crate::shard::report_from_json;
 use crate::{parse, report_json, validate_header, Json, JsonDoc};
-use dvm_core::{GraphRunReport, ReportStore, UnitKey};
+use dvm_core::{GraphRunReport, ReportStore, RunResult, SchemeId, UnitKey, Workload};
 use dvm_graph::{fnv1a, open_dir, write_atomic};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,13 +172,69 @@ impl ReportStore for ReportCache {
     }
 }
 
+/// Rebuild a [`GraphRunReport`] from its [`report_json`] serialization,
+/// in the context of the unit (`mmu`, `workload`) the entry is loaded
+/// for — the names stored in the entry are cross-checked against that
+/// context.
+///
+/// The rebuilt report carries only the fields [`report_json`]
+/// serializes: `engine_cycles` and `walker_cycles` come back empty. No
+/// formatter reads them.
+fn report_from_json(
+    obj: &Json,
+    mmu: SchemeId,
+    workload: &Workload,
+) -> Result<GraphRunReport, String> {
+    let found_mmu = obj.expect_str("mmu")?;
+    if found_mmu != mmu.name() {
+        return Err(format!("scheme '{found_mmu}' != expected '{}'", mmu.name()));
+    }
+    let found_workload = obj.expect_str("workload")?;
+    if found_workload != workload.name() {
+        return Err(format!(
+            "workload '{found_workload}' != expected '{}'",
+            workload.name()
+        ));
+    }
+    let hit_miss = |key: &str| -> Result<Option<(u64, u64)>, String> {
+        match obj.get(key) {
+            None => Err(format!("missing field '{key}'")),
+            Some(Json::Null) => Ok(None),
+            Some(v) => Ok(Some((v.expect_u64("hits")?, v.expect_u64("misses")?))),
+        }
+    };
+    let cycles = obj.expect_u64("cycles")?;
+    Ok(GraphRunReport {
+        mmu,
+        workload: workload.name(),
+        cycles,
+        run: RunResult {
+            cycles,
+            engine_cycles: Vec::new(),
+            edges_processed: obj.expect_u64("edges_processed")?,
+            iterations: u32::try_from(obj.expect_u64("iterations")?)
+                .map_err(|_| "iterations out of range".to_string())?,
+            walker_cycles: 0,
+        },
+        accesses: obj.expect_u64("accesses")?,
+        tlb: hit_miss("tlb")?,
+        ptc: hit_miss("ptc")?,
+        bitmap_cache: hit_miss("bitmap_cache")?,
+        walk_mem_refs: obj.expect_u64("walk_mem_refs")?,
+        identity_validations: obj.expect_u64("identity_validations")?,
+        fallback_translations: obj.expect_u64("fallback_translations")?,
+        preload_squashes: obj.expect_u64("preload_squashes")?,
+        mm_energy_pj: obj.expect_f64("mm_energy_pj")?,
+        dram_accesses: obj.expect_u64("dram_accesses")?,
+        heap_bytes: obj.expect_u64("heap_bytes")?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvm_core::{
-        run_graph_experiment, Dataset, ExperimentConfig, SchemeId, SweepRunner, SweepSpec, Workload,
-    };
-    use dvm_graph::rmat;
+    use dvm_core::{run_graph_experiment, Dataset, ExperimentConfig, SweepRunner, SweepSpec};
+    use dvm_graph::{rmat, RmatParams};
     use dvm_sim::DetRng;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -190,10 +245,106 @@ mod tests {
     }
 
     #[test]
+    fn graph_report_round_trips_through_report_json() {
+        let graph = rmat(10, 4, RmatParams::default(), 3);
+        let workload = Workload::Bfs { root: 0 };
+        for mmu in [
+            SchemeId::CONV_4K,
+            SchemeId::DVM_BM,
+            SchemeId::DVM_PE_PLUS,
+            SchemeId::IDEAL,
+        ] {
+            let report =
+                run_graph_experiment(&workload, &graph, &ExperimentConfig::for_mmu(mmu)).unwrap();
+            let serialized = report_json(&report);
+            let parsed = parse(&serialized.to_string()).unwrap();
+            let round = report_from_json(&parsed, mmu, &workload).unwrap();
+            // Re-serializing the reconstruction gives the same bytes the
+            // formatters would have consumed.
+            assert_eq!(report_json(&round), serialized);
+            assert_eq!(round.tlb_miss_rate(), report.tlb_miss_rate());
+            assert_eq!(round.cycles, report.cycles);
+            assert_eq!(round.mm_energy_pj, report.mm_energy_pj);
+        }
+    }
+
+    #[test]
+    fn report_context_mismatch_is_rejected() {
+        let graph = rmat(10, 4, RmatParams::default(), 3);
+        let workload = Workload::Bfs { root: 0 };
+        let report = run_graph_experiment(
+            &workload,
+            &graph,
+            &ExperimentConfig::for_mmu(SchemeId::IDEAL),
+        )
+        .unwrap();
+        let doc = report_json(&report);
+        assert!(report_from_json(&doc, SchemeId::DVM_BM, &workload).is_err());
+        assert!(
+            report_from_json(&doc, SchemeId::IDEAL, &Workload::PageRank { iterations: 1 }).is_err()
+        );
+    }
+
+    #[test]
+    fn corrupted_entries_miss_or_load_the_original_reports() {
+        // A stored entry of a real report — one with TLB statistics, one
+        // with PWC/AVC statistics — is damaged by seeded bit flips or
+        // truncation. Every load must miss or return a report that
+        // serializes identically to the original: a flipped digit still
+        // parses, so the entry checksum has to catch it.
+        let dir = tmp_dir("corrupt");
+        let cache = ReportCache::new(&dir).unwrap();
+        let graph = rmat(10, 4, RmatParams::default(), 3);
+        let workload = Workload::Bfs { root: 0 };
+        let mut rejected = 0;
+        for mmu in [SchemeId::CONV_4K, SchemeId::DVM_PE_PLUS] {
+            let config = ExperimentConfig::for_mmu(mmu);
+            let report = run_graph_experiment(&workload, &graph, &config).unwrap();
+            let want = report_json(&report).to_string();
+            let key = UnitKey {
+                workload: &workload,
+                dataset: Dataset::Flickr,
+                divisor: 64,
+                mmu,
+            };
+            cache.store(&key, &report);
+            let path = cache.entry_path(&key);
+            let entry = std::fs::read(&path).unwrap();
+            for seed in 0..500 {
+                let mut rng = DetRng::new(seed);
+                let mut bytes = entry.clone();
+                if seed % 2 == 0 {
+                    for _ in 0..=rng.below(3) {
+                        let at = rng.below(bytes.len() as u64) as usize;
+                        bytes[at] ^= 1 << rng.below(8);
+                    }
+                } else {
+                    bytes.truncate(rng.below(bytes.len() as u64) as usize);
+                }
+                std::fs::write(&path, &bytes).unwrap();
+                match cache.load(&key) {
+                    Some(got) => assert_eq!(
+                        report_json(&got).to_string(),
+                        want,
+                        "{} seed {seed}: loaded a different report",
+                        mmu.name()
+                    ),
+                    None => rejected += 1,
+                }
+            }
+        }
+        assert!(
+            rejected > 900,
+            "only {rejected} of 1000 corruptions rejected"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn store_then_load_round_trips_serialized_form() {
         let dir = tmp_dir("roundtrip");
         let cache = ReportCache::new(&dir).unwrap();
-        let graph = rmat(10, 4, dvm_graph::RmatParams::default(), 3);
+        let graph = rmat(10, 4, RmatParams::default(), 3);
         let workload = Workload::Bfs { root: 0 };
         for mmu in [SchemeId::CONV_4K, SchemeId::DVM_PE_PLUS, SchemeId::IDEAL] {
             let report =
@@ -252,7 +403,7 @@ mod tests {
         // serialized form; a None (parse failure) means a torn entry.
         let dir = tmp_dir("hammer");
         let cache = ReportCache::new(&dir).unwrap();
-        let graph = rmat(10, 4, dvm_graph::RmatParams::default(), 3);
+        let graph = rmat(10, 4, RmatParams::default(), 3);
         let workload = Workload::Bfs { root: 0 };
         let report = run_graph_experiment(
             &workload,
@@ -290,7 +441,7 @@ mod tests {
         // serializes identically, never a panic.
         let dir = tmp_dir("damage");
         let cache = ReportCache::new(&dir).unwrap();
-        let graph = rmat(10, 4, dvm_graph::RmatParams::default(), 3);
+        let graph = rmat(10, 4, RmatParams::default(), 3);
         let workload = Workload::Bfs { root: 0 };
         let report = run_graph_experiment(
             &workload,
@@ -371,7 +522,7 @@ mod tests {
     fn key_mismatch_degrades_to_miss() {
         let dir = tmp_dir("mismatch");
         let cache = ReportCache::new(&dir).unwrap();
-        let graph = rmat(10, 4, dvm_graph::RmatParams::default(), 3);
+        let graph = rmat(10, 4, RmatParams::default(), 3);
         let workload = Workload::Bfs { root: 0 };
         let report = run_graph_experiment(
             &workload,

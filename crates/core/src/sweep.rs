@@ -72,49 +72,14 @@ impl SweepSpec {
                 .collect(),
         }
     }
-
-    /// The sub-spec a shard worker runs: cells `index, index + count,
-    /// index + 2*count, ...` (round-robin, so the heavy datasets — which
-    /// cluster in spec order — spread across shards). The global indices
-    /// of the selected cells are `shard_indices(index, count)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `index < count`.
-    pub fn shard(&self, index: usize, count: usize) -> SweepSpec {
-        SweepSpec {
-            cells: self
-                .shard_indices(index, count)
-                .map(|i| self.cells[i].clone())
-                .collect(),
-        }
-    }
-
-    /// Global cell indices belonging to shard `index` of `count`, in the
-    /// order [`SweepSpec::shard`] emits them.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `index < count`.
-    pub fn shard_indices(&self, index: usize, count: usize) -> impl Iterator<Item = usize> + '_ {
-        assert!(index < count, "shard {index} out of {count}");
-        (index..self.cells.len()).step_by(count)
-    }
-
-    /// Total simulation units in the grid: one per (cell, scheme). This
-    /// is the `total` a sweep's progress counts toward, and what sharding
-    /// coordinators aggregate worker progress against.
-    pub fn unit_count(&self) -> usize {
-        self.cells.iter().map(|cell| cell.schemes.len()).sum()
-    }
 }
 
 /// A (configuration × epoch) grid for *time-series* experiments — the
 /// churn scenarios' shape, where each simulation unit is one scheme
 /// configuration producing a whole trajectory rather than one scalar.
 ///
-/// The distinction matters for sharding: units (what `run_grid`
-/// distributes across shards and jobs) are the **configs**, while output
+/// The distinction matters for parallelism: units (what `run_grid`
+/// distributes across jobs) are the **configs**, while output
 /// rows are the configs × epochs cross product. `EpochGrid` pins the row
 /// order and labels so every parallelism level formats the identical
 /// document: config-major, epoch-minor, with zero-padded epoch tags
@@ -205,8 +170,7 @@ pub struct UnitKey<'a> {
 /// A memo of completed sweep units. The sweep engine consults it before
 /// running a unit and records every unit it does run; a `load` hit must
 /// return a report whose *serialized form* is identical to what a fresh
-/// run would produce — the same contract the shard-fragment round trip
-/// already guarantees. Implementations live above `dvm-core` (the bench
+/// run would produce. Implementations live above `dvm-core` (the bench
 /// crate persists reports as JSON); simulation code stays storage-free.
 pub trait ReportStore: Sync {
     /// A previously recorded report for `key`, if one exists.
@@ -588,44 +552,6 @@ mod tests {
         assert_eq!(spec.cells.len(), 2);
         assert_eq!(spec.cells[1].dataset, Dataset::Netflix);
         assert_eq!(spec.cells[0].schemes, vec![SchemeId::IDEAL]);
-    }
-
-    #[test]
-    fn shard_partitions_round_robin() {
-        let spec = SweepSpec::for_pairs(
-            [
-                (Workload::Bfs { root: 0 }, Dataset::Flickr),
-                (Workload::Bfs { root: 0 }, Dataset::Netflix),
-                (Workload::Bfs { root: 0 }, Dataset::Bip1),
-                (Workload::Bfs { root: 0 }, Dataset::Bip2),
-                (Workload::Bfs { root: 0 }, Dataset::Wikipedia),
-            ],
-            &[SchemeId::IDEAL],
-            |_| 1024,
-        );
-        let shard0 = spec.shard(0, 2);
-        let shard1 = spec.shard(1, 2);
-        assert_eq!(
-            shard0.cells.iter().map(|c| c.dataset).collect::<Vec<_>>(),
-            vec![Dataset::Flickr, Dataset::Bip1, Dataset::Wikipedia]
-        );
-        assert_eq!(
-            shard1.cells.iter().map(|c| c.dataset).collect::<Vec<_>>(),
-            vec![Dataset::Netflix, Dataset::Bip2]
-        );
-        assert_eq!(spec.shard_indices(1, 2).collect::<Vec<_>>(), vec![1, 3]);
-        // Every cell lands in exactly one shard.
-        let mut seen: Vec<usize> = (0..3)
-            .flat_map(|i| spec.shard_indices(i, 3).collect::<Vec<_>>())
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..spec.cells.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn shard_index_must_be_below_count() {
-        SweepSpec::default().shard(2, 2);
     }
 
     #[test]

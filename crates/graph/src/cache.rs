@@ -4,8 +4,8 @@
 //! run, so sweep start-up used to be minutes of generator time before the
 //! first experiment cycle ran. The cache stores each generated graph in a
 //! versioned binary file keyed by `(dataset, divisor, seed)` so any later
-//! run — including every worker process of a sharded sweep — loads the
-//! CSR arrays back in seconds.
+//! run — including every other figure binary of a `reproduce_all.sh`
+//! sweep — loads the CSR arrays back in seconds.
 //!
 //! The format is deliberately boring: a fixed little-endian header
 //! carrying the key and an FNV-1a checksum, followed by the raw edge
@@ -21,8 +21,8 @@
 //!
 //! Writes go through [`write_atomic`]: a temp file plus atomic rename,
 //! which makes concurrent writers filling the same cache directory safe.
-//! The temp name is unique per process *and* per call, so neither shard
-//! workers nor `--jobs N` threads ever share a tmp file, the last renamer
+//! The temp name is unique per process *and* per call, so neither separate
+//! processes nor `--jobs N` threads ever share a tmp file, the last renamer
 //! wins with a complete file, and readers never observe a partial entry.
 //! A failed store removes its tmp file; a writer killed mid-store leaves
 //! one behind, and [`open_dir`] sweeps it away the next time a cache

@@ -12,7 +12,8 @@ use dvm_types::{AccessKind, PhysAddr};
 /// DRAM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
-    /// Number of channels (address-interleaved at line granularity).
+    /// Number of channels, a power of two (address-interleaved at line
+    /// granularity).
     pub channels: u32,
     /// End-to-end latency of one isolated access, in accelerator cycles
     /// (what a page-table walker or a squashed preload pays).
@@ -58,9 +59,9 @@ pub struct Dram {
     per_channel: Vec<u64>,
     /// Precomputed shift for `line_bytes` (asserted a power of two).
     line_shift: u32,
-    /// `channels - 1` when the channel count is a power of two, so the
-    /// per-access channel select is a mask instead of a modulo.
-    channel_mask: Option<u64>,
+    /// `channels - 1` (the count is asserted a power of two), so the
+    /// per-access channel select is a mask.
+    channel_mask: u64,
 }
 
 impl Dram {
@@ -68,9 +69,14 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics if `channels == 0` or `line_bytes` is not a power of two.
+    /// Panics if `channels == 0`, or if `channels` or `line_bytes` is not
+    /// a power of two.
     pub fn new(config: DramConfig) -> Self {
         assert!(config.channels > 0, "DRAM needs at least one channel");
+        assert!(
+            config.channels.is_power_of_two(),
+            "channel count must be a power of two"
+        );
         assert!(
             config.line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -81,10 +87,7 @@ impl Dram {
             writes: 0,
             per_channel: vec![0; config.channels as usize],
             line_shift: config.line_bytes.trailing_zeros(),
-            channel_mask: config
-                .channels
-                .is_power_of_two()
-                .then(|| config.channels as u64 - 1),
+            channel_mask: u64::from(config.channels) - 1,
         }
     }
 
@@ -109,11 +112,7 @@ impl Dram {
 
     fn count(&mut self, pa: PhysAddr, kind: AccessKind) {
         let line = pa.raw() >> self.line_shift;
-        let channel = match self.channel_mask {
-            Some(mask) => (line & mask) as usize,
-            None => (line % self.config.channels as u64) as usize,
-        };
-        self.per_channel[channel] += 1;
+        self.per_channel[(line & self.channel_mask) as usize] += 1;
         match kind {
             AccessKind::Write => self.writes += 1,
             _ => self.reads += 1,
@@ -194,6 +193,15 @@ mod tests {
             access_latency: 1,
             occupancy_cycles: 1,
             line_bytes: 64,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "channel count must be a power of two")]
+    fn non_power_of_two_channels_rejected() {
+        Dram::new(DramConfig {
+            channels: 3,
+            ..DramConfig::default()
         });
     }
 }

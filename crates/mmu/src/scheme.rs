@@ -26,9 +26,9 @@
 //! fallback reuses the same TLB-hit and walk-outcome helpers.
 //!
 //! The table is closed: a new scheme is added in this file (DESIGN.md,
-//! "Adding a translation scheme"). Bench binaries and farm workers are
-//! separate processes, so a scheme registered at runtime by one of them
-//! could never reach the others anyway.
+//! "Adding a translation scheme"). Bench binaries are separate processes
+//! that share one report cache, so a scheme registered at runtime by one
+//! of them could never reach the others anyway.
 
 use crate::iommu::{AccessCtx, Iommu, Validation};
 use crate::ptcache::{PtCacheConfig, PtcLookup};

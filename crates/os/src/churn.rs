@@ -17,7 +17,7 @@
 //! Every draw comes from one seeded generator and every collection the
 //! driver iterates is ordered, so a run is a pure function of its
 //! [`ChurnConfig`] — the property the `churn` bench binary's byte-identity
-//! contract (serial == `--jobs N` == `--shards N`) rests on.
+//! contract (serial == `--jobs N`) rests on.
 
 use crate::os::{MapFlavor, Os, OsConfig};
 use crate::process::Pid;
@@ -89,9 +89,8 @@ impl Default for ChurnConfig {
 }
 
 /// One epoch of the time-series. Counters are *deltas* over the epoch;
-/// allocator fields are end-of-epoch snapshots. Everything is integral so
-/// the values cross shard fragments bit-exactly; the rate accessors
-/// derive floats from them on the formatting side.
+/// allocator fields are end-of-epoch snapshots. Everything is integral;
+/// the rate accessors derive floats from them on the formatting side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnEpoch {
     /// Epoch index (0-based).

@@ -2,19 +2,15 @@
 # Regenerate every table and figure of the paper into results/, then refresh
 # EXPERIMENTS.md. Usage:
 #
-#   scripts/reproduce_all.sh [smoke|quick|paper|full] [--jobs N] [--shards N]
-#       [--farm HOST:PORT]
+#   scripts/reproduce_all.sh [smoke|quick|paper|full] [--jobs N]
 #
 # quick: minutes. paper: ~1-2 hours on one core (Figure 8/9 dominate).
 # full: unscaled Table 3 datasets; hours and ~16 GiB of host RAM.
 # smoke: seconds; only checks the machinery.
 #
 # --jobs N fans each harness's grid across N worker threads (0 = all
-# cores); --shards N fans it across N worker processes (a loopback sweep
-# farm inside each harness); --farm HOST:PORT submits every grid to a
-# running farmd coordinator instead (with --shards N as the requested
-# slice count). Output is byte-identical to a serial run any way; only
-# wall-clock changes.
+# cores). Output is byte-identical to a serial run; only wall-clock
+# changes.
 # Generated datasets are cached under results/.dataset-cache, so repeat
 # runs skip regeneration. Figures 2, 8, 9 and 11 sweep overlapping unit
 # grids, so they share a per-invocation report cache (results/.report-cache, cleared
@@ -29,15 +25,11 @@ cd "$(dirname "$0")/.."
 
 SCALE="quick"
 JOBS=1
-SHARDS=0
-FARM=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
         smoke|quick|paper|full) SCALE="$1"; shift ;;
         --jobs) JOBS="$2"; shift 2 ;;
-        --shards) SHARDS="$2"; shift 2 ;;
-        --farm) FARM="$2"; shift 2 ;;
-        *) echo "usage: $0 [smoke|quick|paper|full] [--jobs N] [--shards N] [--farm HOST:PORT]" >&2; exit 2 ;;
+        *) echo "usage: $0 [smoke|quick|paper|full] [--jobs N]" >&2; exit 2 ;;
     esac
 done
 
@@ -54,9 +46,7 @@ cargo build --release -p dvm-bench
 suffix="$SCALE"
 BENCH_ROWS=""
 now_ms() { python3 -c 'import time; print(int(time.time()*1000))'; }
-# Sum a `key=` field across every stderr stats line with the given
-# prefix (each shard or farm slice prints its own dataset-cache/report-cache
-# line).
+# Read a `key=` field from the stderr stats line with the given prefix.
 cache_count() { # prefix, key, stderr-file
     awk -v prefix="^$1:" -v key="$2" '$0 ~ prefix {
         for (i = 1; i <= NF; i++)
@@ -65,19 +55,12 @@ cache_count() { # prefix, key, stderr-file
 }
 run() { # name, extra args...
     local name="$1"; shift
-    local extra=()
-    if [[ $SHARDS -gt 0 ]]; then
-        extra+=(--shards "$SHARDS")
-    fi
-    if [[ -n $FARM ]]; then
-        extra+=(--farm "$FARM")
-    fi
-    echo ">>> $name --scale $SCALE --jobs $JOBS ${extra[*]} $*"
+    echo ">>> $name --scale $SCALE --jobs $JOBS $*"
     local t0 t1 err
     err=$(mktemp)
     t0=$(now_ms)
     "$B/$name" --scale "$SCALE" --jobs "$JOBS" \
-        --cache-dir "$CACHE_DIR" "${extra[@]}" \
+        --cache-dir "$CACHE_DIR" \
         --json "results/${name}_${suffix}.json" "$@" \
         > "results/${name}_${suffix}.txt" \
         2> "$err" || { cat "$err" >&2; rm -f "$err"; exit 1; }
@@ -112,7 +95,6 @@ run churn
     echo "  \"experiment\": \"bench-sweep\","
     echo "  \"scale\": \"$SCALE\","
     echo "  \"jobs\": $JOBS,"
-    echo "  \"shards\": $SHARDS,"
     echo "  \"bins\": ["
     printf '%s' "${BENCH_ROWS%,$'\n'}"
     echo ""
