@@ -101,11 +101,6 @@ impl EpochGrid {
         }
     }
 
-    /// Simulation units — one per configuration (each yields a series).
-    pub fn unit_count(&self) -> usize {
-        self.configs.len()
-    }
-
     /// Output rows: configs × epochs.
     pub fn row_count(&self) -> usize {
         self.configs.len() * self.epochs as usize
@@ -493,7 +488,6 @@ mod tests {
     #[test]
     fn epoch_grid_orders_and_labels_rows() {
         let grid = EpochGrid::new(["DVM-PE", "Paged-4K"], 12);
-        assert_eq!(grid.unit_count(), 2);
         assert_eq!(grid.row_count(), 24);
         assert_eq!(grid.row_label(0, 0), "DVM-PE/e00");
         assert_eq!(grid.row_label(1, 11), "Paged-4K/e11");

@@ -11,13 +11,14 @@
 //! carrying the key and an FNV-1a checksum, followed by the raw edge
 //! list. The checksum covers every header field after the magic as well
 //! as the payload, so a flipped vertex or edge count is rejected like a
-//! flipped edge. A loaded graph is rebuilt through [`Graph::from_edges`],
-//! the same constructor the generators use, so a cache hit is
-//! structurally identical (`==`) to regeneration. Every validation
-//! failure — short file, bad magic, version or key mismatch, checksum
-//! mismatch, edge out of range — falls back to regeneration and rewrites
-//! the entry, so a corrupt or stale cache can slow a run down but never
-//! change its output.
+//! flipped edge. The payload is the edge array in CSR order, so a load
+//! rebuilds only the offsets, in the pass that validates each edge; a
+//! cache hit is structurally identical (`==`) to regeneration. Every
+//! validation failure — short file, bad magic, version or key mismatch,
+//! checksum mismatch, edge out of range, edges out of `(src, dst)`
+//! order — falls back to regeneration and rewrites the entry, so a
+//! corrupt or stale cache can slow a run down but never change its
+//! output.
 //!
 //! Writes go through [`write_atomic`]: a temp file plus atomic rename,
 //! which makes concurrent writers filling the same cache directory safe.
@@ -274,20 +275,30 @@ fn decode(bytes: &[u8], want_seed: u64, want_divisor: u32) -> Option<Graph> {
     {
         return None;
     }
+    // One pass range-checks every edge, checks the `(src, dst)` order
+    // `encode` wrote, and counts sources; a payload that fails either
+    // check is rejected rather than re-sorted.
+    let mut offsets = vec![0u64; num_vertices as usize + 1];
     let mut edges = Vec::with_capacity(num_edges as usize);
+    let mut last = (0, 0);
     for chunk in payload.chunks_exact(EDGE_BYTES) {
         let src = u32::from_le_bytes(chunk[0..4].try_into().unwrap());
         let dst = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-        if src >= num_vertices || dst >= num_vertices {
+        if src >= num_vertices || dst >= num_vertices || (src, dst) < last {
             return None;
         }
+        last = (src, dst);
+        offsets[src as usize + 1] += 1;
         edges.push(Edge {
             src,
             dst,
             weight: f32::from_bits(u32::from_le_bytes(chunk[8..12].try_into().unwrap())),
         });
     }
-    Some(Graph::from_edges(num_vertices, edges))
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    Some(Graph::from_csr_parts(num_vertices, offsets, edges))
 }
 
 /// 64-bit FNV-1a over `bytes` — cheap, dependency-free corruption check.
@@ -406,6 +417,91 @@ mod tests {
         DatasetCache::new(&dir).unwrap();
         assert!(!dir.join("S24_div4_v2.tmp789-2").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checksum-valid entry whose edges are out of `(src, dst)` order
+    /// is rejected and regenerated, not silently re-sorted.
+    #[test]
+    fn out_of_order_entry_is_rejected_and_regenerated() {
+        let dir = scratch_dir("order");
+        let (dataset, divisor) = (Dataset::Netflix, 1024);
+        let generated = dataset.generate(divisor);
+        let mut bytes = encode(dataset.seed(), divisor, &generated);
+        // Swap the first and the last edge, then re-seal the checksum.
+        let last = bytes.len() - EDGE_BYTES;
+        let first: Vec<u8> = bytes[HEADER_BYTES..HEADER_BYTES + EDGE_BYTES].to_vec();
+        bytes.copy_within(last.., HEADER_BYTES);
+        bytes[last..].copy_from_slice(&first);
+        let checksum = fnv1a_extend(fnv1a(&bytes[8..CHECKSUM_AT]), &bytes[HEADER_BYTES..]);
+        bytes[CHECKSUM_AT..HEADER_BYTES].copy_from_slice(&checksum.to_le_bytes());
+        let cache = DatasetCache::new(&dir).unwrap();
+        std::fs::write(cache.entry_path(dataset, divisor), &bytes).unwrap();
+        assert_eq!(cache.get_or_generate(dataset, divisor), generated);
+        assert_eq!((cache.hits(), cache.misses(), cache.rejected()), (0, 1, 1));
+        // The rewritten entry loads.
+        assert_eq!(cache.get_or_generate(dataset, divisor), generated);
+        assert_eq!(cache.hits(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// FNV-1a of every dataset's cache payload (the CSR edge array) and
+    /// of its offsets as little-endian `u64`s, at the smoke-scale
+    /// divisors, as the generator produced them before the counting-sort
+    /// CSR build and the branch-free R-MAT draws replaced a stable
+    /// comparison sort and an `if` chain. Any change to the generated
+    /// bytes fails here.
+    #[test]
+    fn generated_bytes_match_pinned_digests() {
+        let pinned = [
+            (
+                Dataset::Flickr,
+                256,
+                0xdabc_f1e5_7b87_ca0c,
+                0x875b_ae6b_8569_e115,
+            ),
+            (
+                Dataset::Wikipedia,
+                1024,
+                0x896b_694d_1492_c977,
+                0xeb7f_0eae_1e86_5e2d,
+            ),
+            (
+                Dataset::LiveJournal,
+                1024,
+                0x443b_596e_8172_19e4,
+                0xb914_a25a_6c3b_06f4,
+            ),
+            (
+                Dataset::Rmat24,
+                2048,
+                0x40b7_b272_8418_2fb8,
+                0x29b7_e6b6_9786_e044,
+            ),
+            (
+                Dataset::Netflix,
+                1024,
+                0xe793_625c_922a_79f0,
+                0xfc9c_7575_23c9_d618,
+            ),
+            (
+                Dataset::Bip1,
+                512,
+                0x851a_9aaf_b191_4eb6,
+                0xb356_9a08_9087_7563,
+            ),
+            (
+                Dataset::Bip2,
+                2048,
+                0xfbb1_5b1b_71d8_dd8a,
+                0x9ced_03ca_ca2a_134d,
+            ),
+        ];
+        for (dataset, divisor, payload, offsets) in pinned {
+            let g = dataset.generate(divisor);
+            let offset_bytes: Vec<u8> = g.offsets().iter().flat_map(|o| o.to_le_bytes()).collect();
+            let got = (fnv1a(&encode_payload(&g)), fnv1a(&offset_bytes));
+            assert_eq!(got, (payload, offsets), "{dataset} at divisor {divisor}");
+        }
     }
 
     #[test]

@@ -46,38 +46,54 @@ impl Default for RmatParams {
 ///
 /// # Panics
 ///
-/// Panics if `scale` is 0 or greater than 31.
+/// Panics if `scale` is 0 or greater than 31, or if `a`, `b`, `c` are
+/// not probabilities summing to at most 1.
 pub fn rmat(scale: u32, edgefactor: u32, params: RmatParams, seed: u64) -> Graph {
     assert!((1..=31).contains(&scale), "scale out of range");
     let n = 1u32 << scale;
     let num_edges = n as u64 * edgefactor as u64;
+    let cuts = quadrant_cuts(params);
     let mut rng = DetRng::new(seed);
     let mut edges = Vec::with_capacity(num_edges as usize);
     for _ in 0..num_edges {
-        let (src, dst) = rmat_edge(scale, params, &mut rng);
+        let (src, dst) = rmat_edge(scale, &cuts, &mut rng);
         let weight = 1.0 + (rng.unit() * 63.0) as f32;
         edges.push(Edge { src, dst, weight });
     }
     Graph::from_edges(n, edges)
 }
 
-fn rmat_edge(scale: u32, params: RmatParams, rng: &mut DetRng) -> (u32, u32) {
+/// `2^53`: [`DetRng::unit`] is [`DetRng::unit_bits`] times `2^-53`.
+const UNIT_STEPS: f64 = (1u64 << 53) as f64;
+
+/// The cumulative quadrant probabilities `a`, `a+b`, `a+b+c` as cut
+/// points for [`DetRng::unit_bits`]. `unit() >= t` holds exactly when
+/// `unit_bits() >= ceil(t * 2^53)`: `t * 2^53` is exact, and `unit()`
+/// is an integer times `2^-53`.
+fn quadrant_cuts(params: RmatParams) -> [u64; 3] {
+    let RmatParams { a, b, c } = params;
+    assert!(
+        a >= 0.0 && b >= 0.0 && c >= 0.0 && a + b + c <= 1.0,
+        "R-MAT probabilities must be non-negative and sum to at most 1"
+    );
+    [a, a + b, a + b + c].map(|t| (t * UNIT_STEPS).ceil() as u64)
+}
+
+/// The quadrant a 53-bit draw picks, branch-free: 0 top-left, 1
+/// top-right, 2 bottom-left, 3 bottom-right. Bit 1 is the source bit and
+/// bit 0 the destination bit.
+fn quadrant(bits: u64, cuts: &[u64; 3]) -> u32 {
+    u32::from(bits >= cuts[0]) + u32::from(bits >= cuts[1]) + u32::from(bits >= cuts[2])
+}
+
+/// One edge: a quadrant per level, each from one draw of `rng`.
+fn rmat_edge(scale: u32, cuts: &[u64; 3], rng: &mut DetRng) -> (u32, u32) {
     let mut src = 0u32;
     let mut dst = 0u32;
     for _ in 0..scale {
-        src <<= 1;
-        dst <<= 1;
-        let r: f64 = rng.unit();
-        if r < params.a {
-            // top-left: neither bit set
-        } else if r < params.a + params.b {
-            dst |= 1;
-        } else if r < params.a + params.b + params.c {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        let q = quadrant(rng.unit_bits(), cuts);
+        src = src << 1 | q >> 1;
+        dst = dst << 1 | q & 1;
     }
     (src, dst)
 }
@@ -106,16 +122,11 @@ fn rmat_edge(scale: u32, params: RmatParams, rng: &mut DetRng) -> (u32, u32) {
 /// Panics if `users == 0` or `items == 0`.
 pub fn to_bipartite(graph: &Graph, users: u32, items: u32) -> Graph {
     assert!(users > 0 && items > 0, "bipartite sets must be non-empty");
-    let edges = graph
-        .edges()
-        .iter()
-        .map(|e| Edge {
-            src: e.src % users,
-            dst: users + e.dst % items,
-            weight: 1.0 + (e.weight % 5.0).floor(),
-        })
-        .collect();
-    Graph::from_edges(users + items, edges)
+    Graph::from_mapped_edges(users + items, graph.edges(), |e| Edge {
+        src: e.src % users,
+        dst: users + e.dst % items,
+        weight: 1.0 + (e.weight % 5.0).floor(),
+    })
 }
 
 #[cfg(test)]
@@ -161,6 +172,70 @@ mod tests {
             .max()
             .unwrap();
         assert!(max_deg < 60, "uniform max degree {max_deg} too skewed");
+    }
+
+    /// The quadrant the old `if r < a … else if r < a+b …` chain picked
+    /// for the draw `r = unit()`.
+    fn quadrant_by_chain(r: f64, p: RmatParams) -> u32 {
+        if r < p.a {
+            0
+        } else if r < p.a + p.b {
+            1
+        } else if r < p.a + p.b + p.c {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// The branch-free quadrant equals the `if` chain on 4096 seeded
+    /// draws and on draws exactly at, one step below and one step above
+    /// each threshold `a`, `a+b`, `a+b+c`, under the graph500 and the
+    /// uniform parameters.
+    #[test]
+    fn branch_free_quadrant_matches_if_chain() {
+        // `DetRng::unit` of the draw whose `unit_bits` are `bits`.
+        let unit = |bits: u64| bits as f64 * (1.0 / (1u64 << 53) as f64);
+        let uniform = RmatParams {
+            a: 0.25,
+            b: 0.25,
+            c: 0.25,
+        };
+        for p in [RmatParams::default(), uniform] {
+            let cuts = quadrant_cuts(p);
+            let thresholds = [p.a, p.a + p.b, p.a + p.b + p.c];
+            for (t, &cut) in thresholds.into_iter().zip(&cuts) {
+                assert_eq!(unit(cut), t, "{p:?}: cut {cut} is not exactly {t}");
+                for bits in [cut - 1, cut, cut + 1] {
+                    let ctx = format!("{p:?}: bits {bits} at threshold {t}");
+                    assert_eq!(
+                        quadrant(bits, &cuts),
+                        quadrant_by_chain(unit(bits), p),
+                        "{ctx}"
+                    );
+                }
+            }
+            let mut rng = DetRng::new(11);
+            for i in 0..4096 {
+                let bits = rng.unit_bits();
+                assert_eq!(
+                    quadrant(bits, &cuts),
+                    quadrant_by_chain(unit(bits), p),
+                    "{p:?}: draw {i}, bits {bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "probabilities")]
+    fn rejects_negative_probability() {
+        let params = RmatParams {
+            a: 0.6,
+            b: -0.1,
+            c: 0.3,
+        };
+        rmat(4, 1, params, 1);
     }
 
     #[test]

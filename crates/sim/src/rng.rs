@@ -98,10 +98,19 @@ impl DetRng {
         lo + self.below(hi - lo)
     }
 
-    /// Uniform float in `[0, 1)` (53 high bits of one draw).
+    /// Uniform float in `[0, 1)`: [`DetRng::unit_bits`] times `2^-53`,
+    /// which is exact.
     #[inline]
     pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.unit_bits() as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// The 53 high bits of one draw, the integer behind [`DetRng::unit`]:
+    /// comparing it with `ceil(t * 2^53)` decides `unit() >= t` exactly,
+    /// without the float conversion.
+    #[inline]
+    pub fn unit_bits(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
     /// Bernoulli draw with probability `p`.

@@ -141,7 +141,8 @@ echo "churn --jobs 2 output is byte-identical to serial"
 echo "== perf guard (perfbench graph-translate, probe-scaled)"
 # The BENCHMARK.json workload that runs all nine schemes' translation
 # paths. Fails if any unit fails its checks or if the probe-scaled
-# wall_s exceeds 1.25x the baseline committed in results/BENCH_trend.json.
+# wall_s or setup_s (generating FR) exceeds 1.25x its baseline committed
+# in results/BENCH_trend.json.
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload graph-translate --seed 0 --seconds 20 --trace 0 \
     > "$CI_TMP/perfbench.txt"
