@@ -34,7 +34,7 @@ fn main() {
         } else {
             Workload::PageRank { iterations: 1 }
         };
-        let graph = args.generate_graph(dataset);
+        let graph = dataset.generate(args.scale.divisor(dataset));
         page_table_study(&graph, &workload).expect("study failed")
     });
 

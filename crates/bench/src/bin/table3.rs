@@ -26,7 +26,8 @@ fn main() {
         .collect();
     // Generation is the entire cost of this table; fan it out.
     let generated: Vec<[u64; 3]> = run_grid(&args, &labels, |i| {
-        let graph = args.generate_graph(datasets[i]);
+        let dataset = datasets[i];
+        let graph = dataset.generate(args.scale.divisor(dataset));
         [
             u64::from(graph.num_vertices()),
             graph.num_edges(),

@@ -14,14 +14,16 @@
 //! --schemes a,b,c                 restrict to some translation schemes
 //! --jobs N                        worker threads (0 = all cores)
 //! --json PATH                     also write the machine-readable document
-//! --cache-dir DIR                 on-disk dataset cache (see dvm-graph)
 //! --report-cache DIR              per-unit report cache shared across binaries
 //! --progress                      per-cell progress lines on stderr
 //! ```
+//!
+//! Every binary generates the datasets it needs; the report cache is
+//! the only state carried between runs.
 
 use crate::{paper_pairs, FigureJson, ReportCache, Scale};
 use dvm_core::{SchemeId, SweepSpec};
-use dvm_graph::{Dataset, DatasetCache};
+use dvm_graph::Dataset;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -41,8 +43,6 @@ pub struct BenchArgs {
     pub jobs: usize,
     /// Where to write the machine-readable results, if anywhere.
     pub json: Option<PathBuf>,
-    /// Opened dataset cache, when `--cache-dir` was given.
-    pub cache: Option<DatasetCache>,
     /// Opened per-unit report cache, when `--report-cache` was given.
     pub reports: Option<ReportCache>,
     /// Emit per-cell progress on stderr.
@@ -66,8 +66,7 @@ fn err(msg: impl Into<String>) -> CliError {
 /// The usage text printed on `--help` and after errors.
 pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,Wiki,...]
        [--schemes a,b,c]
-       [--jobs N] [--json PATH] [--progress] [--cache-dir DIR]
-       [--report-cache DIR]
+       [--jobs N] [--json PATH] [--progress] [--report-cache DIR]
 
   --scale        dataset sizing (default: quick; smoke is for CI/tests)
   --datasets     comma-separated short names; others are skipped
@@ -77,7 +76,6 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
   --jobs         worker threads (0 = all cores, default 1)
   --json         also write the machine-readable document to PATH
   --progress     per-cell progress lines on stderr (stdout is untouched)
-  --cache-dir    load/store generated datasets in an on-disk cache
   --report-cache reuse per-unit sweep reports across figure binaries";
 
 impl BenchArgs {
@@ -96,7 +94,6 @@ impl BenchArgs {
         let mut schemes = None;
         let mut jobs = 1usize;
         let mut json = None;
-        let mut cache_dir: Option<PathBuf> = None;
         let mut report_dir: Option<PathBuf> = None;
         let mut progress = false;
 
@@ -144,9 +141,6 @@ impl BenchArgs {
                     })?;
                 }
                 "--json" => json = Some(PathBuf::from(value_of("--json", &mut args)?)),
-                "--cache-dir" => {
-                    cache_dir = Some(PathBuf::from(value_of("--cache-dir", &mut args)?));
-                }
                 "--report-cache" => {
                     report_dir = Some(PathBuf::from(value_of("--report-cache", &mut args)?));
                 }
@@ -158,13 +152,6 @@ impl BenchArgs {
             }
         }
 
-        let cache = match cache_dir {
-            None => None,
-            Some(dir) => Some(
-                DatasetCache::new(&dir)
-                    .map_err(|e| err(format!("cannot open --cache-dir {}: {e}", dir.display())))?,
-            ),
-        };
         let reports =
             match report_dir {
                 None => None,
@@ -178,7 +165,6 @@ impl BenchArgs {
             schemes,
             jobs,
             json,
-            cache,
             reports,
             progress,
         })
@@ -319,31 +305,11 @@ impl BenchArgs {
         }
     }
 
-    /// Generate (or load through the cache) one dataset at the selected
-    /// scale.
-    pub fn generate_graph(&self, dataset: Dataset) -> dvm_graph::Graph {
-        let divisor = self.scale.divisor(dataset);
-        match &self.cache {
-            Some(cache) => cache.get_or_generate(dataset, divisor),
-            None => dataset.generate(divisor),
-        }
-    }
-
-    /// Report cache statistics on stderr, if a cache is in use. Called by
-    /// the grid runners once results are in; the format is stable so
-    /// `reproduce_all.sh` can scrape the counts into `BENCH_sweep.json`.
+    /// Report cache statistics on stderr, if a report cache is in use.
+    /// Called by the grid runners once results are in; the format is
+    /// stable so `reproduce_all.sh` can scrape the counts into
+    /// `BENCH_sweep.json`.
     pub fn report_cache_stats(&self) {
-        if let Some(cache) = &self.cache {
-            if cache.hits() + cache.misses() > 0 {
-                eprintln!(
-                    "dataset-cache: hits={} misses={} rejected={} dir={}",
-                    cache.hits(),
-                    cache.misses(),
-                    cache.rejected(),
-                    cache.dir().display()
-                );
-            }
-        }
         if let Some(reports) = &self.reports {
             if reports.hits() + reports.misses() > 0 {
                 eprintln!(
@@ -371,7 +337,7 @@ mod tests {
         assert_eq!(args.scale, Scale::Quick);
         assert_eq!(args.jobs, 1);
         assert!(args.datasets.is_none() && args.json.is_none());
-        assert!(!args.progress && args.cache.is_none());
+        assert!(!args.progress && args.reports.is_none());
     }
 
     #[test]
@@ -416,13 +382,15 @@ mod tests {
             .contains("integer"));
         assert!(parse(&["--jobs"]).unwrap_err().0.contains("needs a value"));
         // Removed flags — the intra-unit lanes, the multi-process sweep
-        // and its farm — are unknown arguments (exit 2), so a stale
-        // script fails instead of running something else.
+        // and its farm, the dataset cache — are unknown arguments
+        // (exit 2), so a stale script fails instead of running something
+        // else.
         for (name, value) in [
             ("lanes", "2"),
             ("shards", "2"),
             ("shard", "0/2"),
             ("farm", "h:1"),
+            ("cache-dir", "x"),
         ] {
             let flag = format!("--{name}");
             let msg = parse(&[&flag, value]).unwrap_err().0;

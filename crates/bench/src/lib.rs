@@ -7,6 +7,9 @@
 //!   parses,
 //! * [`runner`] — the grid runners: [`run_sweep`] for the graph sweeps,
 //!   [`run_grid`] for every other grid,
+//! * [`normalized`] — [`NormalizedFigure`], the one table path of
+//!   Figures 8, 9 and 11 (per-column ratios to a baseline scheme plus a
+//!   geomean row),
 //! * [`json`] — the hand-rolled JSON layer: [`JsonDoc`] builder (every
 //!   document opens with `schema_version` + `experiment`), renderer,
 //!   parser and header validation.
@@ -27,6 +30,7 @@
 pub mod cli;
 pub mod diff;
 pub mod json;
+pub mod normalized;
 pub mod reportcache;
 pub mod runner;
 
@@ -35,6 +39,7 @@ pub use diff::diff_json;
 pub use json::{
     parse, report_json, validate_header, FigureJson, Json, JsonDoc, ShardValue, SCHEMA_VERSION,
 };
+pub use normalized::{Metric, NormalizedFigure};
 pub use reportcache::ReportCache;
 pub use runner::{run_grid, run_sweep};
 

@@ -29,25 +29,91 @@
 //! [`report_json`] text. A load re-serializes the parsed report and
 //! compares: by the round-trip contract an intact entry matches exactly,
 //! and a damaged one (a flipped digit still parses) is a miss that
-//! simulates the unit again. Writes go through
-//! [`dvm_graph::write_atomic`], so neither separate processes nor
+//! simulates the unit again. Writes go through a temp file plus an
+//! atomic rename ([`write_atomic`]), so neither separate processes nor
 //! `--jobs N` threads racing on one entry ever publish a torn file, and
 //! opening the directory sweeps tmp files that killed writers left behind
-//! ([`dvm_graph::open_dir`]). The directory is unbounded: the cache is
-//! meant to live for one `reproduce_all.sh` invocation (the script
-//! clears it up front, and a whole quick grid of reports is tens of
-//! KB), and entries do not try to survive simulator changes.
+//! ([`open_dir`]). The directory is unbounded: the cache is meant to
+//! live for one `reproduce_all.sh` invocation (the script clears it up
+//! front, and a whole quick grid of reports is tens of KB), and entries
+//! do not try to survive simulator changes.
+//!
+//! This is the only cache in the harness. Generated datasets are not
+//! cached: regenerating them costs seconds, and `reproduce_all.sh` runs
+//! Figure 8 before Figure 2 so Figure 2's units all replay from here
+//! (DESIGN.md §7).
 
 use crate::{parse, report_json, validate_header, Json, JsonDoc};
 use dvm_core::{GraphRunReport, ReportStore, RunResult, SchemeId, UnitKey, Workload};
-use dvm_graph::{fnv1a, open_dir, write_atomic};
+use dvm_sim::fnv1a;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::SystemTime;
 
 /// Longest readable slug embedded in an entry file name. With the 17
 /// hash characters and the `.json` suffix the name stays well under
 /// every mainstream filesystem's 255-byte limit.
 pub const MAX_SLUG_CHARS: usize = 160;
+
+/// A `*.tmp*` file is an orphan only if its mtime is at least this many
+/// seconds old when a cache opens the directory — a live writer in
+/// another process keeps its tmp's mtime fresh while `fs::write` runs.
+const ORPHAN_GRACE_SECS: u64 = 60;
+
+/// A collision-free temp path next to `path`: unique per process (pid)
+/// *and* per call (atomic counter), so two threads of one `--jobs N`
+/// process storing the same entry never interleave writes on one tmp
+/// file and rename a torn result into place.
+fn unique_tmp_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let token = NEXT.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp{}-{token}", std::process::id()))
+}
+
+/// Publish `bytes` at `path` through a unique temp file plus an atomic
+/// rename, so readers see either the old entry or the whole new one.
+/// A failed write or rename removes its tmp file instead of leaking it.
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = unique_tmp_path(path);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Create `dir` if needed and remove the `*.tmp*` files that writers
+/// killed mid-store left in it (older than a grace period, so a live
+/// writer's in-flight tmp survives). Returns how many were removed.
+fn open_dir(dir: &Path) -> io::Result<usize> {
+    std::fs::create_dir_all(dir)?;
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Ok(0);
+    };
+    let now = SystemTime::now();
+    let mut removed = 0;
+    for entry in entries.filter_map(Result::ok) {
+        let path = entry.path();
+        let is_tmp = path
+            .extension()
+            .and_then(|e| e.to_str())
+            .is_some_and(|e| e.starts_with("tmp"));
+        if !is_tmp {
+            continue;
+        }
+        let stale = entry
+            .metadata()
+            .and_then(|m| m.modified())
+            .ok()
+            .and_then(|mtime| now.duration_since(mtime).ok())
+            .is_some_and(|age| age.as_secs() >= ORPHAN_GRACE_SECS);
+        if stale && std::fs::remove_file(&path).is_ok() {
+            removed += 1;
+        }
+    }
+    Ok(removed)
+}
 
 /// Directory-backed store of per-unit sweep reports.
 #[derive(Debug)]
@@ -64,7 +130,7 @@ impl ReportCache {
     /// # Errors
     ///
     /// Propagates the directory-creation failure.
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         open_dir(&dir)?;
         Ok(Self {
@@ -236,12 +302,70 @@ mod tests {
     use dvm_core::{run_graph_experiment, Dataset, ExperimentConfig, SweepRunner, SweepSpec};
     use dvm_graph::{rmat, RmatParams};
     use dvm_sim::DetRng;
+    use std::fs::FileTimes;
+    use std::time::Duration;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("dvm-reportcache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn unique_tmp_paths_never_collide() {
+        let path = Path::new("/cache/BFS_FR_div64_Ideal-0123456789abcdef.json");
+        let a = unique_tmp_path(path);
+        let b = unique_tmp_path(path);
+        assert_ne!(a, b);
+        for tmp in [&a, &b] {
+            let ext = tmp.extension().unwrap().to_str().unwrap();
+            assert!(ext.starts_with("tmp"), "tmp extension, got {ext}");
+        }
+    }
+
+    #[test]
+    fn opening_sweeps_stale_tmp_files_but_keeps_live_ones() {
+        let dir = tmp_dir("orphans");
+        std::fs::create_dir_all(&dir).unwrap();
+        let put = |name: &str, age_secs: u64| {
+            let file = std::fs::File::create(dir.join(name)).unwrap();
+            let mtime = SystemTime::now() - Duration::from_secs(age_secs);
+            file.set_times(FileTimes::new().set_modified(mtime))
+                .unwrap();
+        };
+        put("BFS_FR-0.json", 7200);
+        put("BFS_FR-0.tmp123-0", 7200);
+        put("BFS_NF-1.tmp456-1", 0);
+        assert_eq!(open_dir(&dir).unwrap(), 1);
+        assert!(!dir.join("BFS_FR-0.tmp123-0").exists());
+        // A tmp younger than the grace period is an in-flight write.
+        assert!(dir.join("BFS_NF-1.tmp456-1").exists());
+        assert!(dir.join("BFS_FR-0.json").exists());
+        // Opening a cache runs the same sweep.
+        put("BFS_S24-2.tmp789-2", 7200);
+        ReportCache::new(&dir).unwrap();
+        assert!(!dir.join("BFS_S24-2.tmp789-2").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_store_cleans_up_its_tmp_file() {
+        // A store whose rename fails (here: the entry path is a
+        // directory) must remove its tmp file instead of leaking it.
+        let dir = tmp_dir("tmpleak");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("entry.json");
+        std::fs::create_dir_all(&path).unwrap();
+        assert!(write_atomic(&path, b"{}").is_err());
+        let leftovers: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(".tmp"))
+            .collect();
+        assert_eq!(leftovers, Vec::<String>::new(), "tmp files leaked");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

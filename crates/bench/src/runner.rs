@@ -5,8 +5,8 @@
 //!
 //! Both run the whole grid in this process on `--jobs N` threads and
 //! return values in unit order, so the output is byte-identical to a
-//! `--jobs 1` run. Both print the cache statistics once the results are
-//! in.
+//! `--jobs 1` run. Both print the report-cache statistics once the
+//! results are in.
 
 use crate::BenchArgs;
 use dvm_core::{parallel_map_ordered, CellReports, SchemeId, SweepProgress, SweepRunner};
@@ -28,9 +28,6 @@ pub fn run_sweep(args: &BenchArgs, schemes: &[SchemeId]) -> Vec<CellReports> {
         );
     };
     let mut runner = SweepRunner::new(&spec).jobs(args.jobs);
-    if let Some(cache) = args.cache.as_ref() {
-        runner = runner.cache(cache);
-    }
     if args.progress {
         runner = runner.progress(&report);
     }

@@ -1,6 +1,6 @@
 //! Bench binaries end to end: a `--jobs 2` run produces byte-identical
-//! stdout and `--json` output to a serial run, and a warm dataset cache
-//! skips generation.
+//! stdout and `--json` output to a serial run, and Figure 2 run after
+//! Figure 8 replays every unit from their shared report cache.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -45,31 +45,52 @@ fn grid_binary_jobs_match_serial_byte_for_byte() {
 }
 
 #[test]
-fn second_cached_run_skips_generation() {
-    let exe = env!("CARGO_BIN_EXE_table3");
-    let dir = scratch("cache-counts");
-    let cache = dir.join("cache");
-    let args = [
-        "--scale",
-        "smoke",
-        "--datasets",
-        "FR,NF",
-        "--cache-dir",
-        cache.to_str().unwrap(),
-    ];
-    let first = run(exe, &args);
-    let second = run(exe, &args);
-    let stderr_of = |o: &Output| String::from_utf8_lossy(&o.stderr).to_string();
-    assert!(
-        stderr_of(&first).contains("hits=0 misses=2"),
-        "first run should generate both datasets: {}",
-        stderr_of(&first)
+fn fig2_after_fig8_replays_every_unit_from_the_report_cache() {
+    // reproduce_all.sh runs fig8 before fig2 on one report cache: fig2's
+    // (4K, 2M) units are a subset of fig8's, so fig2 simulates (and
+    // generates) nothing, and its output equals an uncached run's.
+    let dir = scratch("fig2-replay");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (cache, fig8_json, replay_json, plain_json) = (
+        path("report-cache"),
+        path("fig8.json"),
+        path("fig2_replay.json"),
+        path("fig2_plain.json"),
     );
-    assert!(
-        stderr_of(&second).contains("hits=2 misses=0"),
-        "second run should hit the cache twice: {}",
-        stderr_of(&second)
+    // FR alone: three workloads, and CF's long feature rows would make
+    // this debug-build test several times slower.
+    let grid = ["--scale", "smoke", "--datasets", "FR"];
+    let fig2 = env!("CARGO_BIN_EXE_fig2");
+    run(
+        env!("CARGO_BIN_EXE_fig8"),
+        &[
+            &grid[..],
+            &[
+                "--jobs",
+                "2",
+                "--report-cache",
+                &cache,
+                "--json",
+                &fig8_json,
+            ],
+        ]
+        .concat(),
     );
-    assert_eq!(first.stdout, second.stdout);
+    let replay = run(
+        fig2,
+        &[
+            &grid[..],
+            &["--report-cache", &cache, "--json", &replay_json],
+        ]
+        .concat(),
+    );
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert!(
+        stderr.contains("report-cache: hits=") && stderr.contains(" misses=0 "),
+        "fig2 should replay every unit: {stderr}"
+    );
+    let plain = run(fig2, &[&grid[..], &["--json", &plain_json]].concat());
+    assert_eq!(replay.stdout, plain.stdout);
+    assert_eq!(read(Path::new(&replay_json)), read(Path::new(&plain_json)));
     let _ = std::fs::remove_dir_all(&dir);
 }

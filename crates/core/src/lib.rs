@@ -61,7 +61,7 @@ pub use table1::{page_table_study, PageTableStudy};
 pub use dvm_accel::{AccelConfig, RunResult, Workload};
 pub use dvm_cpu::{evaluate as evaluate_cpu, CpuModelConfig, CpuRunReport, CpuScheme, CpuWorkload};
 pub use dvm_energy::{EnergyAccount, EnergyParams, MmEvent};
-pub use dvm_graph::{Dataset, DatasetCache};
+pub use dvm_graph::Dataset;
 pub use dvm_mem::{DramConfig, MachineConfig};
 pub use dvm_mmu::{SchemeId, SchemeStructures, TranslationScheme};
 pub use dvm_os::{

@@ -17,15 +17,15 @@
 //! Each unit runs serially on one worker thread (see DESIGN.md, "Why
 //! units are not pipelined").
 //!
-//! Both optional stores ([`SweepRunner::cache`] for datasets,
-//! [`SweepRunner::report_store`] for finished cell reports) are
-//! best-effort: a miss — including a damaged entry that fails its
-//! checksum — falls back to regeneration, so caching can change only
-//! wall-clock time, never results.
+//! The optional report store ([`SweepRunner::report_store`], for
+//! finished unit reports) is best-effort: a miss — including a damaged
+//! entry that fails its checksum — falls back to simulating the unit, so
+//! it can change only wall-clock time, never results. Graphs are always
+//! generated; a unit whose report is replayed generates nothing.
 
 use crate::experiment::{run_graph_experiment, ExperimentConfig, GraphRunReport};
 use dvm_accel::Workload;
-use dvm_graph::{Dataset, DatasetCache};
+use dvm_graph::Dataset;
 use dvm_mmu::SchemeId;
 use dvm_types::DvmError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -262,15 +262,19 @@ struct SharedGraph {
 }
 
 impl SharedGraph {
-    fn get(&self, cache: Option<&DatasetCache>) -> Arc<dvm_graph::Graph> {
+    fn new(dataset: Dataset, divisor: u32) -> Self {
+        Self {
+            dataset,
+            divisor,
+            slot: Mutex::new(None),
+            remaining: AtomicUsize::new(0),
+        }
+    }
+
+    fn get(&self) -> Arc<dvm_graph::Graph> {
         let mut slot = self.slot.lock().expect("graph slot poisoned");
-        slot.get_or_insert_with(|| {
-            Arc::new(match cache {
-                Some(cache) => cache.get_or_generate(self.dataset, self.divisor),
-                None => self.dataset.generate(self.divisor),
-            })
-        })
-        .clone()
+        slot.get_or_insert_with(|| Arc::new(self.dataset.generate(self.divisor)))
+            .clone()
     }
 
     fn release(&self) {
@@ -303,7 +307,6 @@ impl SharedGraph {
 pub struct SweepRunner<'a> {
     spec: &'a SweepSpec,
     jobs: usize,
-    cache: Option<&'a DatasetCache>,
     progress: Option<&'a (dyn Fn(SweepProgress<'_>) + Sync)>,
     reports: Option<&'a dyn ReportStore>,
 }
@@ -313,7 +316,6 @@ impl std::fmt::Debug for SweepRunner<'_> {
         f.debug_struct("SweepRunner")
             .field("cells", &self.spec.cells.len())
             .field("jobs", &self.jobs)
-            .field("cache", &self.cache.map(|c| c.dir().to_path_buf()))
             .field("progress", &self.progress.is_some())
             .field("reports", &self.reports.is_some())
             .finish()
@@ -321,13 +323,12 @@ impl std::fmt::Debug for SweepRunner<'_> {
 }
 
 impl<'a> SweepRunner<'a> {
-    /// A serial, cache-less runner for `spec`; chain the
+    /// A serial runner without a report store for `spec`; chain the
     /// builder methods to turn features on.
     pub fn new(spec: &'a SweepSpec) -> Self {
         Self {
             spec,
             jobs: 1,
-            cache: None,
             progress: None,
             reports: None,
         }
@@ -337,12 +338,6 @@ impl<'a> SweepRunner<'a> {
     /// changes output: results always come back in spec order.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Load/store generated graphs through an on-disk cache.
-    pub fn cache(mut self, cache: &'a DatasetCache) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -365,9 +360,9 @@ impl<'a> SweepRunner<'a> {
     ///
     /// Results come back in spec order — cell by cell, scheme by scheme —
     /// regardless of `jobs`, so downstream formatting is reproducible
-    /// across parallelism levels. No option perturbs results: a cached,
-    /// parallel, progress-reporting run
-    /// returns exactly what a bare serial run does.
+    /// across parallelism levels. No option perturbs results: a parallel,
+    /// progress-reporting run replaying a report store returns exactly
+    /// what a bare serial run does.
     ///
     /// # Errors
     ///
@@ -383,12 +378,7 @@ impl<'a> SweepRunner<'a> {
                 .iter()
                 .position(|s| s.dataset == cell.dataset && s.divisor == cell.divisor)
                 .unwrap_or_else(|| {
-                    shared.push(SharedGraph {
-                        dataset: cell.dataset,
-                        divisor: cell.divisor,
-                        slot: Mutex::new(None),
-                        remaining: AtomicUsize::new(0),
-                    });
+                    shared.push(SharedGraph::new(cell.dataset, cell.divisor));
                     shared.len() - 1
                 });
             shared[key]
@@ -427,7 +417,7 @@ impl<'a> SweepRunner<'a> {
         let total = units.len();
         let done = AtomicUsize::new(0);
         let outcomes = parallel_map_ordered(&units, self.jobs, |unit| {
-            // The cache key deliberately excludes `jobs`: it does not
+            // The store's key deliberately excludes `jobs`: it does not
             // affect the report, so a report computed at any parallelism
             // level serves every other one.
             let unit_key = UnitKey {
@@ -439,7 +429,7 @@ impl<'a> SweepRunner<'a> {
             let report = match self.reports.and_then(|store| store.load(&unit_key)) {
                 Some(cached) => Ok(cached),
                 None => {
-                    let graph = shared[unit.key].get(self.cache);
+                    let graph = shared[unit.key].get();
                     let report = run_graph_experiment(
                         &unit.workload,
                         &graph,
@@ -561,9 +551,6 @@ mod tests {
         );
         let plain = SweepRunner::new(&spec).run().unwrap();
 
-        let dir = std::env::temp_dir().join(format!("dvm-sweep-opts-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DatasetCache::new(&dir).unwrap();
         let events: Mutex<Vec<(usize, usize, String)>> = Mutex::new(Vec::new());
         let record = |p: SweepProgress<'_>| {
             events.lock().unwrap().push((
@@ -574,7 +561,6 @@ mod tests {
         };
         let opted = SweepRunner::new(&spec)
             .jobs(2)
-            .cache(&cache)
             .progress(&record)
             .run()
             .unwrap();
@@ -587,14 +573,27 @@ mod tests {
         dones.sort_unstable();
         assert_eq!(dones, vec![1, 2, 3, 4]);
         assert!(events.iter().any(|(_, _, label)| label == "BFS/FR Ideal"));
-        // One distinct (dataset, divisor) key: generated once, missed once.
-        assert_eq!(cache.misses(), 1);
+    }
 
-        // A second cached run hits instead of generating, same results.
-        let rerun = SweepRunner::new(&spec).cache(&cache).run().unwrap();
-        assert_eq!(format!("{plain:?}"), format!("{rerun:?}"));
-        assert_eq!(cache.hits(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
+    #[test]
+    fn shared_graph_is_generated_once_and_dropped_after_its_last_unit() {
+        let shared = SharedGraph::new(Dataset::Flickr, 1024);
+        shared.remaining.store(3, Ordering::Relaxed);
+        let first = shared.get();
+        assert_eq!(*first, Dataset::Flickr.generate(1024));
+        shared.release();
+        let second = shared.get();
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "regenerated before the last release"
+        );
+        shared.release();
+        assert!(Arc::ptr_eq(&first, &shared.get()));
+        shared.release();
+        assert!(
+            shared.slot.lock().unwrap().is_none(),
+            "the last release keeps the graph alive"
+        );
     }
 
     #[test]

@@ -136,19 +136,6 @@ impl Graph {
         self
     }
 
-    /// A graph from arrays already in CSR form, which the caller has
-    /// checked: `offsets` are the prefix sums of the source counts and
-    /// `edges` are in `(src, dst)` order.
-    pub(crate) fn from_csr_parts(num_vertices: u32, offsets: Vec<u64>, edges: Vec<Edge>) -> Self {
-        debug_assert_eq!(offsets.len(), num_vertices as usize + 1);
-        debug_assert_eq!(offsets.last().copied(), Some(edges.len() as u64));
-        Self {
-            num_vertices,
-            offsets,
-            edges,
-        }
-    }
-
     /// Number of vertices.
     pub fn num_vertices(&self) -> u32 {
         self.num_vertices

@@ -134,8 +134,7 @@ impl Dataset {
         self.spec().bipartite.is_some()
     }
 
-    /// The R-MAT seed [`Dataset::generate`] uses — part of the on-disk
-    /// cache key, so stale entries are detected if seeding ever changes.
+    /// The R-MAT seed [`Dataset::generate`] uses.
     pub fn seed(&self) -> u64 {
         0xD5A7 ^ (*self as u64)
     }
@@ -183,6 +182,7 @@ impl core::fmt::Display for Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvm_sim::fnv1a;
 
     #[test]
     fn specs_match_table3() {
@@ -236,6 +236,75 @@ mod tests {
             let g = ds.generate(1024);
             assert!(g.num_vertices() >= 1024, "{ds}");
             assert!(g.num_edges() > 0, "{ds}");
+        }
+    }
+
+    /// FNV-1a of every dataset's CSR edge array (each edge as
+    /// little-endian `src`, `dst` and weight bits) and of its offsets as
+    /// little-endian `u64`s, at the smoke-scale divisors, as the generator
+    /// produced them before the counting-sort CSR build and the
+    /// branch-free R-MAT draws replaced a stable comparison sort and an
+    /// `if` chain. Any change to the generated bytes fails here.
+    #[test]
+    fn generated_bytes_match_pinned_digests() {
+        let pinned = [
+            (
+                Dataset::Flickr,
+                256,
+                0xdabc_f1e5_7b87_ca0c,
+                0x875b_ae6b_8569_e115,
+            ),
+            (
+                Dataset::Wikipedia,
+                1024,
+                0x896b_694d_1492_c977,
+                0xeb7f_0eae_1e86_5e2d,
+            ),
+            (
+                Dataset::LiveJournal,
+                1024,
+                0x443b_596e_8172_19e4,
+                0xb914_a25a_6c3b_06f4,
+            ),
+            (
+                Dataset::Rmat24,
+                2048,
+                0x40b7_b272_8418_2fb8,
+                0x29b7_e6b6_9786_e044,
+            ),
+            (
+                Dataset::Netflix,
+                1024,
+                0xe793_625c_922a_79f0,
+                0xfc9c_7575_23c9_d618,
+            ),
+            (
+                Dataset::Bip1,
+                512,
+                0x851a_9aaf_b191_4eb6,
+                0xb356_9a08_9087_7563,
+            ),
+            (
+                Dataset::Bip2,
+                2048,
+                0xfbb1_5b1b_71d8_dd8a,
+                0x9ced_03ca_ca2a_134d,
+            ),
+        ];
+        for (dataset, divisor, payload, offsets) in pinned {
+            let g = dataset.generate(divisor);
+            let edge_bytes: Vec<u8> = g
+                .edges()
+                .iter()
+                .flat_map(|e| {
+                    [e.src, e.dst, e.weight.to_bits()]
+                        .into_iter()
+                        .flat_map(u32::to_le_bytes)
+                })
+                .collect();
+            let offset_bytes: Vec<u8> = g.offsets().iter().flat_map(|o| o.to_le_bytes()).collect();
+            let got = (fnv1a(&edge_bytes), fnv1a(&offset_bytes));
+            assert_eq!(got, (payload, offsets), "{dataset} at divisor {divisor}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Deterministic simulation plumbing: cycle accounting, statistics
-//! counters, a seeded RNG, and a plain-text table printer used by the
-//! benchmark harnesses to regenerate the paper's tables and figures.
+//! counters, a seeded RNG, an FNV-1a content hash, and a plain-text table
+//! printer used by the benchmark harnesses to regenerate the paper's
+//! tables and figures.
 //!
 //! Everything in the simulator is single-threaded and seeded, so two runs of
 //! the same experiment produce bit-identical results — a property the
@@ -24,10 +25,12 @@
 //! assert!(t.render().contains("bfs"));
 //! ```
 
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod table;
 
+pub use hash::fnv1a;
 pub use rng::DetRng;
 pub use stats::{Counter, RatioStat};
 pub use table::Table;

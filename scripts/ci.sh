@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, build, the tier-1 test suite, the
-# --jobs determinism checks, a golden-result diff, and a probe-scaled
-# host-speed guard.
+# --jobs determinism checks, a diff of every quick-scale golden, and a
+# probe-scaled host-speed guard.
 # Everything here runs with no network and no vendored crates — the
 # default workspace has zero external dependencies by design (see
 # DESIGN.md, "Sweep engine & hermetic build").
@@ -49,75 +49,51 @@ cargo test --release -q -p dvm-accel -p dvm-mem -p dvm-mmu
 
 echo "== threaded determinism (fig2, quick scale, --jobs 2)"
 # Two sweep worker threads must be byte-identical to the serial run,
-# text table and JSON document alike. The shared dataset cache means the
-# second run skips regeneration entirely.
+# text table and JSON document alike.
 CI_TMP=$(mktemp -d)
 trap 'rm -rf "$CI_TMP"' EXIT
 target/release/fig2 --scale quick --datasets FR --jobs 1 \
-    --cache-dir "$CI_TMP/cache" \
     --json "$CI_TMP/serial.json" > "$CI_TMP/serial.txt"
 target/release/fig2 --scale quick --datasets FR --jobs 2 \
-    --cache-dir "$CI_TMP/cache" \
     --json "$CI_TMP/jobs2.json" > "$CI_TMP/jobs2.txt"
 cmp "$CI_TMP/serial.txt" "$CI_TMP/jobs2.txt"
 cmp "$CI_TMP/serial.json" "$CI_TMP/jobs2.json"
 echo "fig2 --jobs 2 output is byte-identical to serial"
 
-echo "== corrupt dataset-cache entry (fig2, quick scale)"
-# A flipped num_vertices bit in a cached CSR header must fail the entry's
-# checksum: the run regenerates the graph, counts one rejection, and every
-# output byte matches the serial run above.
-cp -r "$CI_TMP/cache" "$CI_TMP/corrupt"
-python3 - "$CI_TMP"/corrupt/FR_div*.csr <<'PY'
-import sys
-path = sys.argv[1]
-with open(path, "r+b") as f:
-    f.seek(25)  # num_vertices is the u32 at bytes 24..28
-    byte = f.read(1)[0]
-    f.seek(25)
-    f.write(bytes([byte ^ 0x01]))
-PY
-target/release/fig2 --scale quick --datasets FR --jobs 1 \
-    --cache-dir "$CI_TMP/corrupt" \
-    --json "$CI_TMP/corrupt.json" > "$CI_TMP/corrupt.txt" \
-    2> "$CI_TMP/corrupt.err"
-cmp "$CI_TMP/serial.txt" "$CI_TMP/corrupt.txt"
-cmp "$CI_TMP/serial.json" "$CI_TMP/corrupt.json"
-grep -q "rejected=1 " "$CI_TMP/corrupt.err"
-echo "fig2 rejected the corrupt entry and its output is byte-identical to serial"
-
-echo "== golden-result diff (virt, fig10, table4, quick scale)"
-# Regenerate the cheap quick-scale documents and diff them against the
-# committed goldens; the full set is checked by reproduce_all.sh +
-# scripts/diff_results.sh.
+echo "== golden-result diff (virt, fig10, table4, table1, table3, quick scale)"
+# Regenerate the quick-scale documents that need no report cache and
+# diff them against the committed goldens. table1 and table3 generate
+# every dataset, so they also pin the generators' quick-scale output.
 target/release/virt --json "$CI_TMP/virt_quick.json" > /dev/null
 target/release/fig10 --scale quick --json "$CI_TMP/fig10_quick.json" > /dev/null
 target/release/table4 --scale quick --json "$CI_TMP/table4_quick.json" > /dev/null
-scripts/diff_results.sh "$CI_TMP" virt fig10 table4
+for table in table1 table3; do
+    target/release/$table --scale quick --jobs 2 \
+        --json "$CI_TMP/${table}_quick.json" > /dev/null
+done
+scripts/diff_results.sh "$CI_TMP" virt fig10 table4 table1 table3
 
-echo "== golden-result diff (fig8 + fig9 + fig11, quick scale)"
-# The three figures share one fresh report cache (fig8 simulates, fig9
-# replays, fig11 replays the 4K/DVM-PE+/Ideal columns and simulates
-# only the two SVA schemes) — the reproduce_all.sh arrangement. Host
+echo "== golden-result diff (fig8 + fig2 + fig9 + fig11, quick scale)"
+# The four figures share one fresh report cache, in the reproduce_all.sh
+# order: fig8 simulates, fig2 and fig9 replay, fig11 replays the
+# 4K/DVM-PE+/Ideal columns and simulates only the two SVA schemes. Host
 # speed is guarded by perfbench at the end, not by these wall times.
 # Two sweep threads: the fig2, fig11 and churn gates check that --jobs 2
 # output is byte-identical to serial, and it halves this step's time.
-for fig in fig8 fig9 fig11; do
-    target/release/$fig --scale quick --jobs 2 --cache-dir results/.dataset-cache \
+for fig in fig8 fig2 fig9 fig11; do
+    target/release/$fig --scale quick --jobs 2 \
         --report-cache "$CI_TMP/report-cache" \
         --json "$CI_TMP/${fig}_quick.json" > /dev/null
 done
-scripts/diff_results.sh "$CI_TMP" fig8 fig9 fig11
+scripts/diff_results.sh "$CI_TMP" fig8 fig2 fig9 fig11
 
 echo "== threaded determinism (fig11, quick scale, --jobs 2)"
 # The warm report cache makes both runs replays, so this checks that the
 # threaded runner returns cells in spec order.
 target/release/fig11 --scale quick --datasets FR --jobs 1 \
-    --cache-dir results/.dataset-cache \
     --report-cache "$CI_TMP/report-cache" \
     --json "$CI_TMP/fig11_serial.json" > "$CI_TMP/fig11_serial.txt"
 target/release/fig11 --scale quick --datasets FR --jobs 2 \
-    --cache-dir results/.dataset-cache \
     --report-cache "$CI_TMP/report-cache" \
     --json "$CI_TMP/fig11_jobs2.json" > "$CI_TMP/fig11_jobs2.txt"
 cmp "$CI_TMP/fig11_serial.txt" "$CI_TMP/fig11_jobs2.txt"

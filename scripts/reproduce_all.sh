@@ -11,15 +11,16 @@
 # --jobs N fans each harness's grid across N worker threads (0 = all
 # cores). Output is byte-identical to a serial run; only wall-clock
 # changes.
-# Generated datasets are cached under results/.dataset-cache, so repeat
-# runs skip regeneration. Figures 2, 8, 9 and 11 sweep overlapping unit
-# grids, so they share a per-invocation report cache (results/.report-cache, cleared
-# up front): the first binary to simulate a unit records its report, the
-# rest replay it byte-identically. Neither cache is bounded: the dataset
-# cache holds one entry per dataset and scale, and a whole grid of unit
-# reports is tens of KB. Each binary writes results/<name>_<scale>.json,
-# and the script records per-binary wall-clock and dataset-cache hit/miss
-# counts in results/BENCH_sweep.json.
+# Every binary generates the datasets it needs. Figures 8, 2, 9 and 11
+# sweep overlapping unit grids, so they share a per-invocation report
+# cache (results/.report-cache, cleared up front): the first binary to
+# simulate a unit records its report, the rest replay it byte-identically.
+# Figure 8 runs first because Figure 2's (4K, 2M) units are a subset of
+# its grid, so Figure 2 is a pure replay that generates and simulates
+# nothing. The cache is unbounded; a whole grid of unit reports is tens
+# of KB. Each binary writes results/<name>_<scale>.json, and the script
+# records per-binary wall-clock and report-cache hit/miss counts in
+# results/BENCH_sweep.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +35,6 @@ while [[ $# -gt 0 ]]; do
 done
 
 B=target/release
-CACHE_DIR=results/.dataset-cache
 REPORT_CACHE=results/.report-cache
 mkdir -p results
 # Unit reports must not outlive one invocation (a simulator change would
@@ -60,17 +60,16 @@ run() { # name, extra args...
     err=$(mktemp)
     t0=$(now_ms)
     "$B/$name" --scale "$SCALE" --jobs "$JOBS" \
-        --cache-dir "$CACHE_DIR" \
         --json "results/${name}_${suffix}.json" "$@" \
         > "results/${name}_${suffix}.txt" \
         2> "$err" || { cat "$err" >&2; rm -f "$err"; exit 1; }
     t1=$(now_ms)
     cat "$err" >&2
     local hits misses
-    hits=$(cache_count dataset-cache hits "$err")
-    misses=$(cache_count dataset-cache misses "$err")
+    hits=$(cache_count report-cache hits "$err")
+    misses=$(cache_count report-cache misses "$err")
     rm -f "$err"
-    BENCH_ROWS+="    {\"bin\": \"$name\", \"wall_ms\": $((t1 - t0)), \"cache_hits\": $hits, \"cache_misses\": $misses},"$'\n'
+    BENCH_ROWS+="    {\"bin\": \"$name\", \"wall_ms\": $((t1 - t0)), \"report_hits\": $hits, \"report_misses\": $misses},"$'\n'
 }
 
 # The shared unit-report cache.
@@ -80,8 +79,8 @@ run table3
 run table1
 run table4
 run fig10
-run fig2 "${RC_ARGS[@]}"
 run fig8 "${RC_ARGS[@]}"
+run fig2 "${RC_ARGS[@]}"
 run fig9 "${RC_ARGS[@]}"
 run fig11 "${RC_ARGS[@]}"
 run table5
