@@ -70,7 +70,7 @@ pub struct FreeSpanHistogram {
 }
 
 /// Binary buddy allocator over 4 KiB frames.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuddyAllocator {
     total_frames: u64,
     max_order: u32,
@@ -283,31 +283,37 @@ impl BuddyAllocator {
         self.release_span(range.start, range.count);
     }
 
-    /// Free a sub-range of an existing allocation, splitting the tracked
-    /// allocation bookkeeping. Used by the OS when unmapping part of a
-    /// region and by copy-on-write teardown.
+    /// Free a range of allocated frames, splitting the tracked allocation
+    /// bookkeeping. The range may cover parts of several adjacent
+    /// allocations. Used by the OS to tear down a region one run of frames
+    /// at a time, and to free single frames after a CoW copy or a
+    /// swap-out.
+    ///
+    /// Freeing a range in one call leaves exactly the state that freeing
+    /// its frames one at a time in ascending order leaves: both split the
+    /// bookkeeping at the same two ends, and `release_span` puts back the
+    /// range's aligned blocks in ascending order, which are the blocks
+    /// per-frame frees complete, in the same order (a sub-block's buddy
+    /// always lies inside its block).
     ///
     /// # Panics
     ///
-    /// Panics if the sub-range is not fully inside one tracked allocation.
+    /// Panics if any frame of the range is not allocated.
     pub fn free_subrange(&mut self, range: FrameRange) {
-        let (&astart, &acount) = self
-            .allocated
-            .range(..=range.start)
-            .next_back()
-            .unwrap_or_else(|| panic!("free_subrange of untracked range {range:?}"));
-        assert!(
-            range.start >= astart && range.end() <= astart + acount,
-            "free_subrange {range:?} escapes allocation [{astart}, {})",
-            astart + acount
-        );
-        self.allocated.remove(&astart);
-        if range.start > astart {
-            self.allocated.insert(astart, range.start - astart);
-        }
-        if range.end() < astart + acount {
-            self.allocated
-                .insert(range.end(), astart + acount - range.end());
+        let mut cursor = range.start;
+        while cursor < range.end() {
+            let (astart, aend) = match self.allocated.range(..=cursor).next_back() {
+                Some((&astart, &acount)) if cursor < astart + acount => (astart, astart + acount),
+                _ => panic!("free_subrange {range:?} covers unallocated frame {cursor}"),
+            };
+            self.allocated.remove(&astart);
+            if cursor > astart {
+                self.allocated.insert(astart, cursor - astart);
+            }
+            if range.end() < aend {
+                self.allocated.insert(range.end(), aend - range.end());
+            }
+            cursor = aend;
         }
         self.release_span(range.start, range.count);
     }
@@ -962,5 +968,90 @@ mod tests {
             assert_eq!(stats.largest_free_block, total, "seed {seed}");
             assert_eq!(stats.free_block_count, 1, "seed {seed}");
         }
+    }
+
+    /// The invariant the OS's teardown by runs rests on: from any
+    /// reachable state, freeing a run of allocated frames with one
+    /// `free_subrange` leaves the allocator exactly as freeing the run's
+    /// frames one at a time in ascending order does — free lists and
+    /// allocation map, not just the coalesced free runs. States are built
+    /// from trimmed buddy allocations, first-fit allocations, whole frees
+    /// and scattered one-frame frees; runs lie inside one allocation or
+    /// span adjacent ones.
+    #[test]
+    fn one_run_free_equals_ascending_frame_frees() {
+        for seed in 0..256u64 {
+            let mut rng = DetRng::new(seed);
+            let total = rng.range(64, 2048);
+            let mut b = BuddyAllocator::new(total);
+            let mut live: Vec<FrameRange> = Vec::new();
+            for _ in 0..rng.range(4, 120) {
+                match rng.below(6) {
+                    0 | 1 => {
+                        if let Ok(r) = b.alloc_frames(rng.range(1, 96)) {
+                            live.push(r);
+                        }
+                    }
+                    2 => {
+                        let align = 1u64 << rng.below(5);
+                        if let Ok(r) = b.alloc_frames_first_fit(rng.range(1, 128), align) {
+                            live.push(r);
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let r = live.swap_remove(rng.below(live.len() as u64) as usize);
+                        b.free_frames(r);
+                    }
+                    _ if !live.is_empty() => {
+                        let i = rng.below(live.len() as u64) as usize;
+                        let r = live.swap_remove(i);
+                        let f = r.start + rng.below(r.count);
+                        b.free_subrange(FrameRange { start: f, count: 1 });
+                        live.extend(
+                            [(r.start, f - r.start), (f + 1, r.end() - f - 1)]
+                                .into_iter()
+                                .filter(|&(_, count)| count > 0)
+                                .map(|(start, count)| FrameRange { start, count }),
+                        );
+                    }
+                    _ => {}
+                }
+            }
+            if live.is_empty() {
+                continue;
+            }
+            live.sort_unstable_by_key(|r| r.start);
+            let mut i = rng.below(live.len() as u64) as usize;
+            let start = live[i].start + rng.below(live[i].count);
+            let mut end = start + rng.range(1, live[i].end() - start + 1);
+            while end == live[i].end() && i + 1 < live.len() && live[i + 1].start == end {
+                if !rng.chance(0.5) {
+                    break;
+                }
+                i += 1;
+                end = live[i].start + rng.range(1, live[i].count + 1);
+            }
+            let mut per_frame = b.clone();
+            for f in start..end {
+                per_frame.free_subrange(FrameRange { start: f, count: 1 });
+            }
+            b.free_subrange(FrameRange {
+                start,
+                count: end - start,
+            });
+            assert_eq!(b, per_frame, "seed {seed}: run [{start}, {end})");
+            assert_eq!(b.free_runs(), per_frame.free_runs(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "covers unallocated frame")]
+    fn free_subrange_over_a_free_frame_panics() {
+        let mut b = BuddyAllocator::new(16);
+        let r = b.alloc_frames(3).unwrap();
+        b.free_subrange(FrameRange {
+            start: r.start,
+            count: 4,
+        });
     }
 }

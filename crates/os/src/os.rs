@@ -5,7 +5,7 @@
 use crate::process::{backing_granule, Backing, Pid, Process, Vma, VmaKind};
 use dvm_mem::{FrameRange, Machine, MachineConfig};
 use dvm_pagetable::{PageTable, PermBitmap};
-use dvm_sim::DetRng;
+use dvm_sim::{DetRng, U64Map, U64Set};
 use dvm_types::{
     align_up, AccessKind, DvmError, Fault, FaultKind, PageSize, Permission, PhysAddr, VirtAddr,
     PAGE_SIZE,
@@ -127,7 +127,7 @@ pub struct Os {
     rng: DetRng,
     /// Reference counts for frames shared between processes; a frame not
     /// present here has exactly one owner.
-    frame_refs: HashMap<u64, u32>,
+    frame_refs: U64Map<u32>,
     /// Event counters.
     pub stats: OsStats,
 }
@@ -157,7 +157,7 @@ impl Os {
             processes: HashMap::new(),
             next_pid: 1,
             rng: DetRng::new(config.aslr_seed),
-            frame_refs: HashMap::new(),
+            frame_refs: U64Map::default(),
             stats: OsStats::default(),
         }
     }
@@ -313,8 +313,8 @@ impl Os {
                 kind,
                 backing: Backing::Identity(range),
                 cow: false,
-                cow_pages: HashMap::new(),
-                swapped: std::collections::HashSet::new(),
+                cow_pages: U64Map::default(),
+                swapped: U64Set::default(),
             },
         );
         self.stats.identity_maps += 1;
@@ -391,8 +391,8 @@ impl Os {
                 kind,
                 backing: Backing::Paged(frames),
                 cow: false,
-                cow_pages: HashMap::new(),
-                swapped: std::collections::HashSet::new(),
+                cow_pages: U64Map::default(),
+                swapped: U64Set::default(),
             },
         );
         self.stats.demand_bytes += padded;
@@ -714,37 +714,45 @@ impl Os {
         Ok(())
     }
 
-    /// Release a VMA's data frames, honouring CoW sharing.
+    /// Release a VMA's data frames, honouring CoW sharing, in one walk in
+    /// page order. A frame this VMA holds the last reference to joins the
+    /// current run when it directly follows it and starts a new run
+    /// otherwise; each run goes back with one `free_subrange`. A shared
+    /// frame only drops a reference, and a swapped-out page has no frame.
+    /// So an unshared identity region is one run, and demand-paged frames
+    /// form runs wherever their allocation made them contiguous. Freeing a
+    /// run at once leaves the allocator exactly as freeing its frames one
+    /// at a time in page order would (DESIGN.md, "Teardown by runs").
     fn release_vma_frames(&mut self, vma: &Vma) {
-        // Fast path: nothing in the whole system is shared or swapped.
-        if self.frame_refs.is_empty() && vma.cow_pages.is_empty() && vma.swapped.is_empty() {
-            match &vma.backing {
-                Backing::Identity(range) => {
-                    for f in range.start..range.end() {
-                        self.machine.mem.discard_frame(f);
-                    }
-                    self.machine.allocator.free_frames(*range);
-                }
-                Backing::Paged(frames) => {
-                    for &f in frames {
-                        self.machine.mem.discard_frame(f);
-                        self.machine
-                            .allocator
-                            .free_subrange(FrameRange { start: f, count: 1 });
-                    }
-                }
-            }
-            return;
-        }
-        // After a CoW copy the process already dropped its reference to
-        // the hidden original (in `resolve_fault`), so releasing exactly
-        // the currently-backing frame of every page is complete. Pages
-        // that are swapped out have no frame to release.
+        let mut run = FrameRange { start: 0, count: 0 };
         for page in 0..vma.pages() {
             if vma.swapped.contains(&page) {
                 continue;
             }
-            self.release_frame_ref(vma.frame_of_page(page));
+            // After a CoW copy the process already dropped its reference
+            // to the hidden original (in `resolve_fault`), so the frame
+            // currently backing the page is the only one to release.
+            let frame = vma.frame_of_page(page);
+            if self.drop_shared_ref(frame) {
+                continue;
+            }
+            self.machine.mem.discard_frame(frame);
+            if frame != run.end() {
+                self.free_run(run);
+                run = FrameRange {
+                    start: frame,
+                    count: 0,
+                };
+            }
+            run.count += 1;
+        }
+        self.free_run(run);
+    }
+
+    /// Give a run of already discarded frames back to the allocator.
+    fn free_run(&mut self, run: FrameRange) {
+        if run.count > 0 {
+            self.machine.allocator.free_subrange(run);
         }
     }
 
@@ -761,19 +769,26 @@ impl Os {
 
     /// Drop one reference to `frame`; frees it when the last owner lets go.
     fn release_frame_ref(&mut self, frame: u64) {
+        if !self.drop_shared_ref(frame) {
+            self.machine.mem.discard_frame(frame);
+            self.machine.allocator.free_subrange(FrameRange {
+                start: frame,
+                count: 1,
+            });
+        }
+    }
+
+    /// Drop one reference to `frame` if another owner keeps it; returns
+    /// `false`, changing nothing, when the caller holds the last one.
+    fn drop_shared_ref(&mut self, frame: u64) -> bool {
         match self.frame_refs.get_mut(&frame) {
-            None => {
-                self.machine.mem.discard_frame(frame);
-                self.machine.allocator.free_subrange(FrameRange {
-                    start: frame,
-                    count: 1,
-                });
-            }
+            None => return false,
             Some(n) if *n > 2 => *n -= 1,
             Some(_) => {
                 self.frame_refs.remove(&frame);
             }
         }
+        true
     }
 
     /// Translate a VA in `pid`'s address space (functional, no timing).

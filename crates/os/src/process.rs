@@ -9,8 +9,9 @@
 
 use dvm_mem::FrameRange;
 use dvm_pagetable::PageTable;
+use dvm_sim::{U64Map, U64Set};
 use dvm_types::{PageSize, Permission, VirtAddr, PAGE_SIZE};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Process identifier.
 pub type Pid = u32;
@@ -56,10 +57,10 @@ pub struct Vma {
     pub cow: bool,
     /// Private copies that replaced shared pages after a CoW fault:
     /// `page index within the VMA -> private frame`.
-    pub cow_pages: HashMap<u64, u64>,
+    pub cow_pages: U64Map<u64>,
     /// Pages currently swapped out (their frames are freed; contents live
     /// in a [`crate::SwapStore`]).
-    pub swapped: HashSet<u64>,
+    pub swapped: U64Set,
 }
 
 impl Vma {
@@ -204,8 +205,8 @@ mod tests {
                 count: len / PAGE_SIZE,
             }),
             cow: false,
-            cow_pages: HashMap::new(),
-            swapped: HashSet::new(),
+            cow_pages: U64Map::default(),
+            swapped: U64Set::default(),
         }
     }
 

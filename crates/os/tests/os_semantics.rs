@@ -299,6 +299,10 @@ fn fork_exit_storm_reclaims_every_cow_frame() {
     let mut os = small_os();
     let free_at_boot = os.machine.allocator.free_frames_count();
     let mut rng = dvm_sim::DetRng::new(0x57012);
+    // The allocator's full state (free lists and allocation map) after
+    // every exit, hashed per round: teardown must free the same frames in
+    // the same buddy layout, not just the same number of them.
+    let mut layouts = Vec::new();
 
     for round in 0..8u64 {
         let root = os.spawn().unwrap();
@@ -327,9 +331,13 @@ fn fork_exit_storm_reclaims_every_cow_frame() {
         if round % 2 == 0 {
             family.reverse();
         }
+        let mut layout = String::new();
         for pid in family {
             os.exit(pid).unwrap();
+            let alloc = &os.machine.allocator;
+            layout += &format!("{alloc:?} {:?}\n", alloc.free_runs());
         }
+        layouts.push(dvm_sim::fnv1a(layout.as_bytes()));
         assert_eq!(
             os.machine.allocator.free_frames_count(),
             free_at_boot,
@@ -338,6 +346,20 @@ fn fork_exit_storm_reclaims_every_cow_frame() {
     }
     assert_eq!(os.machine.mem.resident_frames(), 0);
     assert!(os.stats.cow_faults > 0, "storm never exercised CoW");
+    assert_eq!(
+        layouts,
+        [
+            0xb8c9_9eec_7dc7_88cd,
+            0x7962_c0db_551e_708e,
+            0xb8c9_9eec_7dc7_88cd,
+            0x5dbe_99bb_18a2_5d0a,
+            0xb8c9_9eec_7dc7_88cd,
+            0xcddc_7c1d_e2e3_0d02,
+            0xb8c9_9eec_7dc7_88cd,
+            0x265b_d24d_7db6_d579,
+        ],
+        "teardown changed the allocator layout"
+    );
 }
 
 #[test]
@@ -360,6 +382,76 @@ fn churn_scenario_drains_without_leaks() {
     assert!(
         result.epochs.iter().map(|e| e.cow_breaks).sum::<u64>() > 0,
         "scenario never broke a CoW page"
+    );
+}
+
+#[test]
+fn churn_teardown_layout_is_pinned() {
+    // A smoke-size churn run forks, breaks CoW pages, execs, munmaps and
+    // exits; each epoch snapshots the free-run layout. The first three
+    // runs identity-map every region, one per flavour. On 48 MiB,
+    // Paged-4K falls back to demand paging; with identity mapping off,
+    // DVM-PE demand-pages every region frame by frame. The digests were
+    // recorded before teardown freed frames in runs, which must
+    // reproduce every epoch byte for byte.
+    let smoke = dvm_os::ChurnConfig {
+        mem_bytes: 128 << 20,
+        epochs: 12,
+        arrivals_per_epoch: 5,
+        cow_fork_fraction: 0.5,
+        mean_lifetime_epochs: 3,
+        regions_per_proc: 2,
+        min_region_bytes: 64 << 10,
+        max_region_bytes: 2 << 20,
+        exec_chance: 0.2,
+        free_region_chance: 0.3,
+        ..dvm_os::ChurnConfig::default()
+    };
+    let configs = [
+        smoke,
+        dvm_os::ChurnConfig {
+            flavor: MapFlavor::Paged(PageSize::Size4K),
+            ..smoke
+        },
+        dvm_os::ChurnConfig {
+            flavor: MapFlavor::Paged(PageSize::Size2M),
+            ..smoke
+        },
+        dvm_os::ChurnConfig {
+            mem_bytes: 48 << 20,
+            flavor: MapFlavor::Paged(PageSize::Size4K),
+            ..smoke
+        },
+        dvm_os::ChurnConfig {
+            identity_enabled: false,
+            ..smoke
+        },
+    ];
+    let results: Vec<_> = configs
+        .iter()
+        .map(|config| dvm_os::churn::run(config).unwrap())
+        .collect();
+    for (config, result) in configs.iter().zip(&results) {
+        assert_eq!(result.leaked_frames, 0, "{config:?} leaked frames");
+        assert!(result.epochs.iter().any(|e| e.cow_breaks > 0));
+        let demand_bytes: u64 = result.epochs.iter().map(|e| e.demand_bytes).sum();
+        let identity_only = config.identity_enabled && config.mem_bytes == smoke.mem_bytes;
+        assert_eq!(demand_bytes == 0, identity_only, "{config:?}");
+    }
+    let digests: Vec<u64> = results
+        .iter()
+        .map(|result| dvm_sim::fnv1a(format!("{result:?}").as_bytes()))
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            0xb2f9_35a1_e206_8e78,
+            0xdc9a_1540_0cd5_08f5,
+            0xad8b_bd3e_aa81_7527,
+            0x61a9_36d7_1c98_021e,
+            0x60a7_5753_825f_7335,
+        ],
+        "teardown changed a churn trajectory"
     );
 }
 
@@ -438,4 +530,104 @@ fn fork_failing_mid_build_leaves_no_trace() {
         os.exit(pid).unwrap();
     }
     assert_eq!(os.machine.allocator.free_frames_count(), free_at_boot);
+}
+
+/// One process with one 1 MiB identity region, every page written.
+fn identity_region(os: &mut Os) -> (dvm_os::Pid, VirtAddr) {
+    let pid = os.spawn().unwrap();
+    let buf = os.mmap(pid, 1 << 20, Permission::ReadWrite).unwrap();
+    assert!(os.process(pid).unwrap().vma_at(buf).unwrap().is_identity());
+    for page in 0..(1 << 20) / PAGE_SIZE {
+        os.write_u64(pid, buf + page * PAGE_SIZE, page).unwrap();
+    }
+    (pid, buf)
+}
+
+fn assert_drained(os: &Os, free_at_boot: u64) {
+    assert_eq!(os.machine.allocator.free_frames_count(), free_at_boot);
+    assert_eq!(os.machine.mem.resident_frames(), 0);
+}
+
+#[test]
+fn teardown_frees_around_a_cow_private_page_in_the_middle() {
+    // Both exit orders: the child's private copy of page 100 splits the
+    // identity frames either side of it into two runs.
+    for child_first in [true, false] {
+        let mut os = small_os();
+        let free_at_boot = os.machine.allocator.free_frames_count();
+        let (parent, buf) = identity_region(&mut os);
+        let child = os.fork(parent).unwrap();
+        os.write_u64(child, buf + 100 * PAGE_SIZE, 7).unwrap();
+        let order = if child_first {
+            [child, parent]
+        } else {
+            [parent, child]
+        };
+        for pid in order {
+            os.exit(pid).unwrap();
+        }
+        assert_drained(&os, free_at_boot);
+    }
+}
+
+#[test]
+fn teardown_skips_a_swapped_out_page_in_the_middle() {
+    let mut os = small_os();
+    let free_at_boot = os.machine.allocator.free_frames_count();
+    let (pid, buf) = identity_region(&mut os);
+    let mut store = dvm_os::SwapStore::new();
+    os.swap_out(pid, buf + 100 * PAGE_SIZE, &mut store).unwrap();
+    os.exit(pid).unwrap();
+    assert_drained(&os, free_at_boot);
+}
+
+#[test]
+fn teardown_frees_a_page_swapped_back_to_its_identity_frame() {
+    // Swap-in reclaims the identity frame as an allocation of its own, so
+    // the region's frames now belong to three adjacent allocations.
+    let mut os = small_os();
+    let free_at_boot = os.machine.allocator.free_frames_count();
+    let (pid, buf) = identity_region(&mut os);
+    let mut store = dvm_os::SwapStore::new();
+    let victim = buf + 100 * PAGE_SIZE;
+    os.swap_out(pid, victim, &mut store).unwrap();
+    assert!(os.swap_in(pid, victim, &mut store).unwrap());
+    os.exit(pid).unwrap();
+    assert_drained(&os, free_at_boot);
+}
+
+#[test]
+fn child_frees_an_identity_allocation_its_parent_split() {
+    // The child privatizes page 100, so the parent is the last owner of
+    // that identity frame and frees it on exit, splitting the allocation;
+    // the child then frees the two halves.
+    let mut os = small_os();
+    let free_at_boot = os.machine.allocator.free_frames_count();
+    let (parent, buf) = identity_region(&mut os);
+    let child = os.fork(parent).unwrap();
+    os.write_u64(child, buf + 100 * PAGE_SIZE, 7).unwrap();
+    os.exit(parent).unwrap();
+    assert_eq!(os.read_u64(child, buf + 99 * PAGE_SIZE).unwrap(), 99);
+    assert_eq!(os.read_u64(child, buf + 100 * PAGE_SIZE).unwrap(), 7);
+    os.exit(child).unwrap();
+    assert_drained(&os, free_at_boot);
+}
+
+#[test]
+fn munmap_of_a_shared_region_keeps_the_frames_for_the_sharer() {
+    let mut os = small_os();
+    let free_at_boot = os.machine.allocator.free_frames_count();
+    let (parent, buf) = identity_region(&mut os);
+    let child = os.fork(parent).unwrap();
+    let free_before = os.machine.allocator.free_frames_count();
+    os.munmap(parent, buf).unwrap();
+    // Only the parent's page-table frames could come back; every data
+    // frame is still the child's.
+    assert!(os.machine.allocator.free_frames_count() - free_before < 8);
+    assert_eq!(os.read_u64(child, buf + 200 * PAGE_SIZE).unwrap(), 200);
+    os.munmap(child, buf).unwrap();
+    for pid in [child, parent] {
+        os.exit(pid).unwrap();
+    }
+    assert_drained(&os, free_at_boot);
 }

@@ -1,7 +1,7 @@
 //! Deterministic simulation plumbing: cycle accounting, statistics
-//! counters, a seeded RNG, an FNV-1a content hash, and a plain-text table
-//! printer used by the benchmark harnesses to regenerate the paper's
-//! tables and figures.
+//! counters, a seeded RNG, an FNV-1a content hash, a fast hasher for `u64`
+//! keys, and a plain-text table printer used by the benchmark harnesses to
+//! regenerate the paper's tables and figures.
 //!
 //! Everything in the simulator is single-threaded and seeded, so two runs of
 //! the same experiment produce bit-identical results — a property the
@@ -30,7 +30,7 @@ pub mod rng;
 pub mod stats;
 pub mod table;
 
-pub use hash::fnv1a;
+pub use hash::{fnv1a, U64Hasher, U64Map, U64Set};
 pub use rng::DetRng;
 pub use stats::{Counter, RatioStat};
 pub use table::Table;

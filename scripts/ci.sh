@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, build, the tier-1 test suite, the
-# --jobs determinism checks, a diff of every quick-scale golden, and a
-# probe-scaled host-speed guard.
+# --jobs determinism checks, a diff of every quick-scale golden, and
+# probe-scaled host-speed guards.
 # Everything here runs with no network and no vendored crates — the
 # default workspace has zero external dependencies by design (see
 # DESIGN.md, "Sweep engine & hermetic build").
@@ -123,5 +123,15 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload graph-translate --seed 0 --seconds 20 --trace 0 \
     > "$CI_TMP/perfbench.txt"
 python3 scripts/bench_trend.py "$CI_TMP/perfbench.txt"
+
+echo "== perf guard (perfbench os-churn, probe-scaled)"
+# The BENCHMARK.json workload that forks, breaks CoW pages, maps and
+# tears down address spaces. Fails if any unit fails its checks (frames
+# leaking included) or if the probe-scaled wall_s exceeds 1.25x its
+# baseline committed in results/BENCH_trend.json.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload os-churn --seed 0 --seconds 20 --trace 0 \
+    > "$CI_TMP/perfbench_churn.txt"
+python3 scripts/bench_trend.py "$CI_TMP/perfbench_churn.txt"
 
 echo "ci: all green"
