@@ -9,31 +9,8 @@
 //! cargo run --release -p dvm-bench --bin fig11 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
-use dvm_bench::{BenchArgs, Metric, NormalizedFigure};
-use dvm_core::SchemeId;
+use dvm_bench::{AccelFigure, BenchArgs};
 
 fn main() {
-    // Ideal (== 1.0 by construction) is always swept: every column
-    // normalizes to it.
-    NormalizedFigure {
-        experiment: "fig11",
-        title: "Figure 11: DVM vs SVA rivals, runtime normalized to Ideal",
-        defaults: &[
-            SchemeId::CONV_4K,
-            SchemeId::DVM_PE_PLUS,
-            SchemeId::SVA_PF,
-            SchemeId::SVA_IOMMU,
-        ],
-        baseline: SchemeId::IDEAL,
-        metric: Metric::Cycles,
-        footer: &[
-            "expected: SVA-Pf's next-page prefetch helps streaming workloads (CF)",
-            "but wastes walker and DRAM bandwidth on random access, where it can",
-            "even lose to plain 4K; SVA-IOMMU pays for its smaller 8-way IOTLB,",
-            "which misses far more often than the 4K FA TLB (its context is",
-            "fetched once per run).",
-            "DVM-PE+ beats both by validating identity mappings, not translating.",
-        ],
-    }
-    .run(&BenchArgs::parse());
+    AccelFigure::Fig11.run(&BenchArgs::parse());
 }

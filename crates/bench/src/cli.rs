@@ -14,14 +14,13 @@
 //! --schemes a,b,c                 restrict to some translation schemes
 //! --jobs N                        worker threads (0 = all cores)
 //! --json PATH                     also write the machine-readable document
-//! --report-cache DIR              per-unit report cache shared across binaries
 //! --progress                      per-cell progress lines on stderr
 //! ```
 //!
-//! Every binary generates the datasets it needs; the report cache is
-//! the only state carried between runs.
+//! Every binary generates the datasets it needs and simulates every unit
+//! it reports; nothing is carried between runs.
 
-use crate::{paper_pairs, FigureJson, ReportCache, Scale};
+use crate::{paper_pairs, FigureJson, Scale};
 use dvm_core::{SchemeId, SweepSpec};
 use dvm_graph::Dataset;
 use std::fmt;
@@ -43,8 +42,6 @@ pub struct BenchArgs {
     pub jobs: usize,
     /// Where to write the machine-readable results, if anywhere.
     pub json: Option<PathBuf>,
-    /// Opened per-unit report cache, when `--report-cache` was given.
-    pub reports: Option<ReportCache>,
     /// Emit per-cell progress on stderr.
     pub progress: bool,
 }
@@ -66,7 +63,7 @@ fn err(msg: impl Into<String>) -> CliError {
 /// The usage text printed on `--help` and after errors.
 pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,Wiki,...]
        [--schemes a,b,c]
-       [--jobs N] [--json PATH] [--progress] [--report-cache DIR]
+       [--jobs N] [--json PATH] [--progress]
 
   --scale        dataset sizing (default: quick; smoke is for CI/tests)
   --datasets     comma-separated short names; others are skipped
@@ -75,8 +72,7 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
                  spell those with '-': e.g. 4K-TLB+PWC, or just 4K)
   --jobs         worker threads (0 = all cores, default 1)
   --json         also write the machine-readable document to PATH
-  --progress     per-cell progress lines on stderr (stdout is untouched)
-  --report-cache reuse per-unit sweep reports across figure binaries";
+  --progress     per-cell progress lines on stderr (stdout is untouched)";
 
 impl BenchArgs {
     /// Parse an argument list (without the program name).
@@ -94,7 +90,6 @@ impl BenchArgs {
         let mut schemes = None;
         let mut jobs = 1usize;
         let mut json = None;
-        let mut report_dir: Option<PathBuf> = None;
         let mut progress = false;
 
         let mut args = args.into_iter();
@@ -141,9 +136,6 @@ impl BenchArgs {
                     })?;
                 }
                 "--json" => json = Some(PathBuf::from(value_of("--json", &mut args)?)),
-                "--report-cache" => {
-                    report_dir = Some(PathBuf::from(value_of("--report-cache", &mut args)?));
-                }
                 "--progress" => progress = true,
                 "--help" | "-h" => return Err(err(USAGE)),
                 other => {
@@ -152,20 +144,12 @@ impl BenchArgs {
             }
         }
 
-        let reports =
-            match report_dir {
-                None => None,
-                Some(dir) => Some(ReportCache::new(&dir).map_err(|e| {
-                    err(format!("cannot open --report-cache {}: {e}", dir.display()))
-                })?),
-            };
         Ok(Self {
             scale,
             datasets,
             schemes,
             jobs,
             json,
-            reports,
             progress,
         })
     }
@@ -173,7 +157,13 @@ impl BenchArgs {
     /// Parse `std::env::args`; prints usage and exits on `--help` (0) or
     /// bad input (2).
     pub fn parse() -> Self {
-        match Self::try_parse(std::env::args().skip(1)) {
+        Self::parse_from(std::env::args().skip(1))
+    }
+
+    /// [`Self::parse`] for an argument list the caller has already
+    /// taken its own leading arguments from.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+        match Self::try_parse(args) {
             Ok(args) => args,
             Err(CliError(msg)) if msg == USAGE => {
                 eprintln!("{USAGE}");
@@ -304,23 +294,6 @@ impl BenchArgs {
             fig.write(path).expect("writing --json output failed");
         }
     }
-
-    /// Report cache statistics on stderr, if a report cache is in use.
-    /// Called by the grid runners once results are in; the format is
-    /// stable so `reproduce_all.sh` can scrape the counts into
-    /// `BENCH_sweep.json`.
-    pub fn report_cache_stats(&self) {
-        if let Some(reports) = &self.reports {
-            if reports.hits() + reports.misses() > 0 {
-                eprintln!(
-                    "report-cache: hits={} misses={} dir={}",
-                    reports.hits(),
-                    reports.misses(),
-                    reports.dir().display()
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -337,7 +310,7 @@ mod tests {
         assert_eq!(args.scale, Scale::Quick);
         assert_eq!(args.jobs, 1);
         assert!(args.datasets.is_none() && args.json.is_none());
-        assert!(!args.progress && args.reports.is_none());
+        assert!(!args.progress);
     }
 
     #[test]
@@ -382,15 +355,16 @@ mod tests {
             .contains("integer"));
         assert!(parse(&["--jobs"]).unwrap_err().0.contains("needs a value"));
         // Removed flags — the intra-unit lanes, the multi-process sweep
-        // and its farm, the dataset cache — are unknown arguments
-        // (exit 2), so a stale script fails instead of running something
-        // else.
+        // and its farm, the dataset cache, the report cache — are unknown
+        // arguments (exit 2), so a stale script fails instead of running
+        // something else.
         for (name, value) in [
             ("lanes", "2"),
             ("shards", "2"),
             ("shard", "0/2"),
             ("farm", "h:1"),
             ("cache-dir", "x"),
+            ("report-cache", "x"),
         ] {
             let flag = format!("--{name}");
             let msg = parse(&[&flag, value]).unwrap_err().0;
@@ -400,46 +374,6 @@ mod tests {
             );
         }
         assert!(parse(&["--frobnicate"]).unwrap_err().0.contains("usage:"));
-    }
-
-    #[test]
-    fn report_cache_flag_opens_and_propagates_to_workers() {
-        let dir = std::env::temp_dir().join(format!("dvm-cli-rc-{}", std::process::id()));
-        let argv = [
-            "--report-cache",
-            dir.to_str().unwrap(),
-            "--scale",
-            "smoke",
-            "--datasets",
-            "FR",
-            "--jobs",
-            "2",
-        ];
-        let cold = parse(&argv).unwrap();
-        let reports = cold.reports.as_ref().expect("report cache opened");
-        assert_eq!(reports.dir(), dir.as_path());
-        assert!(dir.is_dir());
-        // The `--jobs` worker threads store into the cache the flag opened,
-        // so a second run loads every unit from it.
-        let first = crate::run_sweep(&cold, &[SchemeId::IDEAL]);
-        assert!(first.len() > 1, "FR runs more than one workload");
-        assert_eq!(reports.hits(), 0);
-        assert!(reports.misses() > 0);
-        let warm = parse(&argv).unwrap();
-        let second = crate::run_sweep(&warm, &[SchemeId::IDEAL]);
-        let warm_reports = warm.reports.as_ref().unwrap();
-        assert_eq!(warm_reports.hits(), reports.misses());
-        assert_eq!(warm_reports.misses(), 0);
-        // Loaded reports hold what `report_json` serializes, so compare
-        // in that form.
-        let rendered = |cells: &[dvm_core::CellReports]| {
-            cells
-                .iter()
-                .flat_map(|c| c.reports.iter().map(|r| crate::report_json(r).to_string()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rendered(&first), rendered(&second));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!
 //! Every emitted document starts with the same two header fields, built
 //! by [`JsonDoc`]: `schema_version` (bumped when the layout of any
-//! document changes) and `experiment`. Consumers — the report cache, the
-//! result-diff harness — call [`validate_header`] before trusting a
-//! file, so a stale cache entry or a mismatched golden fails loudly
-//! instead of being read as garbage.
+//! document changes) and `experiment`. The one consumer, the result-diff
+//! harness, calls [`validate_header`] before trusting a file, so a stale
+//! or mismatched golden fails loudly instead of being read as garbage.
 
 use dvm_core::GraphRunReport;
 use std::fmt;
@@ -24,7 +23,7 @@ use std::io;
 use std::path::Path;
 
 /// Version of every emitted document's layout. Bump on any change to the
-/// shape of figure documents or report-cache entries.
+/// shape of a document.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// A JSON value with deterministic rendering.
@@ -209,7 +208,7 @@ impl fmt::Display for Json {
 /// document this crate emits.
 ///
 /// Nesting is capped at `MAX_DEPTH` (64) containers, so hostile input (a
-/// corrupt cache entry) cannot overflow the stack.
+/// corrupt document) cannot overflow the stack.
 ///
 /// # Errors
 ///
@@ -357,12 +356,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always on a boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the run of plain characters up to the next quote
+                // or escape. Both are ASCII and the input is a &str, so the
+                // run is whole UTF-8; only the run itself is re-checked.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text = std::str::from_utf8(&bytes[*pos..*pos + run])
+                    .map_err(|e| format!("{e} at byte {pos}"))?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -634,6 +638,95 @@ impl FigureJson {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff_json;
+    use dvm_sim::DetRng;
+
+    /// A committed result document, damaged by the corruption tests.
+    const FIXTURE: &str = include_str!("../tests/fixtures/fig8_smoke.json");
+
+    /// Judge `bytes` the way `resultdiff` judges a fresh document against
+    /// the intact `golden`, and return whether it was accepted. Decoding
+    /// is lossy so every case reaches the parser. Rejection is fine; an
+    /// accepted document must equal the golden or show as drift. `what`
+    /// names the seed in every failure.
+    fn accepted(golden: &Json, bytes: &[u8], what: &str) -> bool {
+        let outcome = std::panic::catch_unwind(|| {
+            let doc = parse(&String::from_utf8_lossy(bytes))?;
+            validate_header(&doc, Some("fig8")).map(|()| doc)
+        });
+        match outcome {
+            Err(_) => panic!("{what}: parse or validate_header panicked"),
+            Ok(Err(_)) => false,
+            Ok(Ok(doc)) => {
+                assert!(
+                    doc == *golden || !diff_json(golden, &doc, 0.0).is_empty(),
+                    "{what}: a changed document shows no drift"
+                );
+                true
+            }
+        }
+    }
+
+    /// Every cut that loses the closing brace must be rejected.
+    fn check_truncation(golden: &Json, len: usize, what: &str) {
+        let kept = accepted(golden, &FIXTURE.as_bytes()[..len], what);
+        assert!(!kept || len >= FIXTURE.trim_end().len(), "{what}: accepted");
+    }
+
+    #[test]
+    fn corrupted_documents_fail_cleanly_or_show_as_drift() {
+        // Seeded bit flips (1 to 4 per case) and truncations, 500 each.
+        let golden = parse(FIXTURE).unwrap();
+        assert!(accepted(&golden, FIXTURE.as_bytes(), "intact"));
+        let (mut flipped, mut rejected) = (0, 0);
+        for seed in 0..1000 {
+            let mut rng = DetRng::new(seed);
+            let len = FIXTURE.len() as u64;
+            if seed % 2 == 0 {
+                let mut bytes = FIXTURE.as_bytes().to_vec();
+                for _ in 0..=rng.below(3) {
+                    bytes[rng.below(len) as usize] ^= 1 << rng.below(8);
+                }
+                if accepted(&golden, &bytes, &format!("seed {seed}: bit flips")) {
+                    flipped += 1;
+                } else {
+                    rejected += 1;
+                }
+            } else {
+                let cut = rng.below(len) as usize;
+                check_truncation(&golden, cut, &format!("seed {seed}: truncation to {cut}"));
+            }
+        }
+        // Both outcomes occur: flipped digits parse, flipped syntax fails.
+        assert!(
+            flipped > 0 && rejected > 0,
+            "{flipped} accepted, {rejected} rejected"
+        );
+    }
+
+    #[test]
+    fn damaged_documents_fail_cleanly_or_show_as_drift() {
+        let golden = parse(FIXTURE).unwrap();
+        // One digit of "cycles" changed: still valid JSON, wrong value.
+        let field = FIXTURE.find("\"cycles\"").expect("fixture has cycles");
+        let digit = field + FIXTURE[field..].find(|c: char| c.is_ascii_digit()).unwrap();
+        let mut bytes = FIXTURE.as_bytes().to_vec();
+        bytes[digit] = if bytes[digit] == b'1' { b'2' } else { b'1' };
+        let changed = parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        assert!(!diff_json(&golden, &changed, 0.0).is_empty());
+
+        // Seeded byte replacements and truncations, 500 each.
+        for case in 0..500 {
+            let mut rng = DetRng::new(case);
+            let len = FIXTURE.len() as u64;
+            let at = rng.below(len) as usize;
+            let mut bytes = FIXTURE.as_bytes().to_vec();
+            bytes[at] ^= 1 + rng.below(255) as u8;
+            accepted(&golden, &bytes, &format!("seed {case}: byte {at} replaced"));
+            let cut = rng.below(len) as usize;
+            check_truncation(&golden, cut, &format!("seed {case}: truncation to {cut}"));
+        }
+    }
 
     #[test]
     fn golden_document() {

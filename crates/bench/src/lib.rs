@@ -1,7 +1,7 @@
 //! Shared plumbing for the benchmark harness binaries that regenerate
 //! every table and figure of the paper (see DESIGN.md §5 for the index).
 //!
-//! The crate is organised as three layers the binaries compose:
+//! The crate is organised as layers the binaries compose:
 //!
 //! * [`cli`] — the one typed command line ([`BenchArgs`]) every binary
 //!   parses,
@@ -10,6 +10,9 @@
 //! * [`normalized`] — [`NormalizedFigure`], the one table path of
 //!   Figures 8, 9 and 11 (per-column ratios to a baseline scheme plus a
 //!   geomean row),
+//! * [`figures`] — [`AccelFigure`], the four figures of the accelerator
+//!   grid (2, 8, 9, 11): each one's scheme list and renderer, shared by
+//!   its standalone binary and by `accelfigs`,
 //! * [`json`] — the hand-rolled JSON layer: [`JsonDoc`] builder (every
 //!   document opens with `schema_version` + `experiment`), renderer,
 //!   parser and header validation.
@@ -29,18 +32,18 @@
 
 pub mod cli;
 pub mod diff;
+pub mod figures;
 pub mod json;
 pub mod normalized;
-pub mod reportcache;
 pub mod runner;
 
 pub use cli::{BenchArgs, CliError};
 pub use diff::diff_json;
+pub use figures::AccelFigure;
 pub use json::{
     parse, report_json, validate_header, FigureJson, Json, JsonDoc, ShardValue, SCHEMA_VERSION,
 };
 pub use normalized::{Metric, NormalizedFigure};
-pub use reportcache::ReportCache;
 pub use runner::{run_grid, run_sweep};
 
 use dvm_core::{Dataset, Workload};

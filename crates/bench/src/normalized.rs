@@ -1,9 +1,9 @@
-//! The one path behind Figures 8, 9 and 11: sweep the paper pairs, divide
-//! each shown scheme's metric by a baseline scheme's, and print a `{:.3}`
-//! table with a geomean row (mirrored in the `--json` document).
+//! The one table path behind Figures 8, 9 and 11: divide each shown
+//! scheme's metric by a baseline scheme's, and render a `{:.3}` table with
+//! a geomean row (mirrored in the `--json` document).
 
-use crate::{geomean, pair_label, run_sweep, BenchArgs, FigureJson, Json};
-use dvm_core::{GraphRunReport, SchemeId};
+use crate::{geomean, pair_label, BenchArgs, FigureJson, Json};
+use dvm_core::{CellReports, GraphRunReport, SchemeId};
 use dvm_sim::Table;
 
 /// The per-unit quantity a figure normalizes.
@@ -41,7 +41,7 @@ pub struct NormalizedFigure<'a> {
     pub experiment: &'a str,
     /// First stdout line, before `, scale = <scale>`.
     pub title: &'a str,
-    /// Schemes swept when `--schemes` is not given.
+    /// Schemes swept when `--schemes` is not given, in sweep order.
     pub defaults: &'a [SchemeId],
     /// The scheme every column is divided by: always swept, never shown.
     pub baseline: SchemeId,
@@ -52,26 +52,31 @@ pub struct NormalizedFigure<'a> {
 }
 
 impl NormalizedFigure<'_> {
-    /// Run the figure for `args`: print the table and footer on stdout and
-    /// write the `--json` document, if one was asked for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an experiment fails.
-    pub fn run(&self, args: &BenchArgs) {
-        println!("{}, scale = {}\n", self.title, args.scale.name());
-        let selected = args.iommu_schemes(self.defaults);
-        // Ideal is never a column: it is 1.0 by construction when it is the
-        // baseline, and it spends no memory-management energy otherwise.
-        let shown: Vec<SchemeId> = selected
-            .iter()
-            .copied()
-            .filter(|c| *c != self.baseline && *c != SchemeId::IDEAL)
-            .collect();
-        let mut sweep = selected;
+    /// The schemes to sweep for `args`: the defaults, or the `--schemes`
+    /// selection, plus the baseline when it is missing.
+    pub fn sweep(&self, args: &BenchArgs) -> Vec<SchemeId> {
+        let mut sweep = args.iommu_schemes(self.defaults);
         if !sweep.contains(&self.baseline) {
             sweep.push(self.baseline);
         }
+        sweep
+    }
+
+    /// The figure's stdout text (title, table, footer) and `--json`
+    /// document for `cells`, which hold exactly [`Self::sweep`]'s
+    /// reports: every report of a cell is embedded in its JSON row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell lacks a shown scheme or the baseline.
+    pub fn render(&self, args: &BenchArgs, cells: &[CellReports]) -> (String, FigureJson) {
+        // Ideal is never a column: it is 1.0 by construction when it is the
+        // baseline, and it spends no memory-management energy otherwise.
+        let shown: Vec<SchemeId> = args
+            .iommu_schemes(self.defaults)
+            .into_iter()
+            .filter(|c| *c != self.baseline && *c != SchemeId::IDEAL)
+            .collect();
         let names: Vec<&str> = shown.iter().map(|c| c.name()).collect();
         let mut header = vec!["workload/graph"];
         header.extend(&names);
@@ -79,7 +84,7 @@ impl NormalizedFigure<'_> {
         let mut fig = FigureJson::new(self.experiment, args.scale.name(), &names);
         let mut per_column: Vec<Vec<f64>> = vec![Vec::new(); shown.len()];
 
-        for cell in &run_sweep(args, &sweep) {
+        for cell in cells {
             let base = self
                 .metric
                 .of(cell
@@ -106,10 +111,11 @@ impl NormalizedFigure<'_> {
             "geomean",
             Json::Arr(means.into_iter().map(Json::Float).collect()),
         );
-        args.emit_json(&fig);
-        println!("{table}");
+        let mut text = format!("{}, scale = {}\n\n{table}\n", self.title, args.scale.name());
         for line in self.footer {
-            println!("{line}");
+            text.push_str(line);
+            text.push('\n');
         }
+        (text, fig)
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! Both run the whole grid in this process on `--jobs N` threads and
 //! return values in unit order, so the output is byte-identical to a
-//! `--jobs 1` run. Both print the report-cache statistics once the
-//! results are in.
+//! `--jobs 1` run.
 
 use crate::BenchArgs;
 use dvm_core::{parallel_map_ordered, CellReports, SchemeId, SweepProgress, SweepRunner};
@@ -31,12 +30,7 @@ pub fn run_sweep(args: &BenchArgs, schemes: &[SchemeId]) -> Vec<CellReports> {
     if args.progress {
         runner = runner.progress(&report);
     }
-    if let Some(reports) = args.reports.as_ref() {
-        runner = runner.report_store(reports);
-    }
-    let cells = runner.run().expect("experiment failed");
-    args.report_cache_stats();
-    cells
+    runner.run().expect("experiment failed")
 }
 
 /// Run `compute(i)` for each of the `labels.len()` units and return the
@@ -52,14 +46,12 @@ where
 {
     let indices: Vec<usize> = (0..labels.len()).collect();
     let done = AtomicUsize::new(0);
-    let values = parallel_map_ordered(&indices, args.jobs, |&i| {
+    parallel_map_ordered(&indices, args.jobs, |&i| {
         let value = compute(i);
         if args.progress {
             let done = done.fetch_add(1, Ordering::AcqRel) + 1;
             eprintln!("progress: {done}/{} ({})", labels.len(), labels[i]);
         }
         value
-    });
-    args.report_cache_stats();
-    values
+    })
 }

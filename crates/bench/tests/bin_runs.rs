@@ -1,6 +1,7 @@
 //! Bench binaries end to end: a `--jobs 2` run produces byte-identical
-//! stdout and `--json` output to a serial run, and Figure 2 run after
-//! Figure 8 replays every unit from their shared report cache.
+//! stdout and `--json` output to a serial run, `accelfigs` writes what
+//! the four accelerator-grid figure binaries print, and `resultdiff`
+//! exits 0, 1 or 2 as documented.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -45,52 +46,90 @@ fn grid_binary_jobs_match_serial_byte_for_byte() {
 }
 
 #[test]
-fn fig2_after_fig8_replays_every_unit_from_the_report_cache() {
-    // reproduce_all.sh runs fig8 before fig2 on one report cache: fig2's
-    // (4K, 2M) units are a subset of fig8's, so fig2 simulates (and
-    // generates) nothing, and its output equals an uncached run's.
-    let dir = scratch("fig2-replay");
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let (cache, fig8_json, replay_json, plain_json) = (
-        path("report-cache"),
-        path("fig8.json"),
-        path("fig2_replay.json"),
-        path("fig2_plain.json"),
-    );
+fn accelfigs_matches_the_standalone_bins() {
+    // One union sweep must render each figure exactly as its own binary
+    // does from a sweep of its own schemes: same text, same JSON, down to
+    // the per-scheme reports embedded in every row.
+    let dir = scratch("accelfigs");
     // FR alone: three workloads, and CF's long feature rows would make
-    // this debug-build test several times slower.
+    // this test several times slower.
     let grid = ["--scale", "smoke", "--datasets", "FR"];
-    let fig2 = env!("CARGO_BIN_EXE_fig2");
     run(
-        env!("CARGO_BIN_EXE_fig8"),
-        &[
-            &grid[..],
-            &[
-                "--jobs",
-                "2",
-                "--report-cache",
-                &cache,
-                "--json",
-                &fig8_json,
-            ],
-        ]
-        .concat(),
+        env!("CARGO_BIN_EXE_accelfigs"),
+        &[&[dir.to_str().unwrap()], &grid[..], &["--jobs", "2"]].concat(),
     );
-    let replay = run(
-        fig2,
-        &[
-            &grid[..],
-            &["--report-cache", &cache, "--json", &replay_json],
-        ]
-        .concat(),
+    for (fig, exe) in [
+        ("fig8", env!("CARGO_BIN_EXE_fig8")),
+        ("fig2", env!("CARGO_BIN_EXE_fig2")),
+        ("fig9", env!("CARGO_BIN_EXE_fig9")),
+        ("fig11", env!("CARGO_BIN_EXE_fig11")),
+    ] {
+        let json = dir.join(format!("{fig}_alone.json"));
+        let alone = run(
+            exe,
+            &[&grid[..], &["--json", json.to_str().unwrap()]].concat(),
+        );
+        let written = dir.join(format!("{fig}_smoke.txt"));
+        assert_eq!(
+            read(&written),
+            String::from_utf8(alone.stdout).unwrap(),
+            "{fig} text"
+        );
+        assert_eq!(
+            read(&written.with_extension("json")),
+            read(&json),
+            "{fig} JSON"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `resultdiff` on two documents and return its exit code.
+fn resultdiff(golden: &Path, fresh: &Path) -> i32 {
+    Command::new(env!("CARGO_BIN_EXE_resultdiff"))
+        .args([golden, fresh])
+        .output()
+        .expect("resultdiff ran")
+        .status
+        .code()
+        .expect("resultdiff exited")
+}
+
+#[test]
+fn resultdiff_exits_0_on_agreement_1_on_drift_and_2_on_bad_input() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let golden = fixtures.join("fig8_smoke.json");
+    let text = read(&golden);
+    let dir = scratch("resultdiff");
+    let write = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    };
+
+    assert_eq!(resultdiff(&golden, &write("same.json", text.as_bytes())), 0);
+
+    // One changed value: the first report's cycle count, plus one.
+    let at = text.find("\"cycles\": ").expect("fixture has cycles") + "\"cycles\": ".len();
+    let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let cycles: u64 = text[at..end].parse().unwrap();
+    let drifted = format!("{}{}{}", &text[..at], cycles + 1, &text[end..]);
+    assert_eq!(
+        resultdiff(&golden, &write("drift.json", drifted.as_bytes())),
+        1
     );
-    let stderr = String::from_utf8_lossy(&replay.stderr);
-    assert!(
-        stderr.contains("report-cache: hits=") && stderr.contains(" misses=0 "),
-        "fig2 should replay every unit: {stderr}"
-    );
-    let plain = run(fig2, &[&grid[..], &["--json", &plain_json]].concat());
-    assert_eq!(replay.stdout, plain.stdout);
-    assert_eq!(read(Path::new(&replay_json)), read(Path::new(&plain_json)));
+
+    let truncated = write("truncated.json", &text.as_bytes()[..text.len() / 2]);
+    let mut bytes = text.clone().into_bytes();
+    bytes[text.len() / 2] = 0xff;
+    let not_utf8 = write("not_utf8.json", &bytes);
+    for (fresh, what) in [
+        (dir.join("missing.json"), "missing file"),
+        (truncated, "truncated file"),
+        (not_utf8, "non-UTF-8 bytes"),
+        (fixtures.join("fig11_smoke.json"), "experiment mismatch"),
+    ] {
+        assert_eq!(resultdiff(&golden, &fresh), 2, "{what}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,8 +13,9 @@ use dvm_types::DvmError;
 
 /// Configuration of one accelerator experiment. The machine is sized
 /// from the graph footprint, and the accelerator, DRAM and energy
-/// parameters are the paper defaults: a report-cache key names only the
-/// workload, dataset, divisor and scheme, so no other parameter may vary.
+/// parameters are the paper defaults: a sweep unit is named by its
+/// workload, dataset, divisor and scheme alone, so no other parameter may
+/// vary.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentConfig {
     /// Memory-management scheme under test.

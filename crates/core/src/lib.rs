@@ -51,8 +51,8 @@ pub use experiment::{
     flavor_for, run_graph_experiment, run_paper_configs, ExperimentConfig, GraphRunReport,
 };
 pub use sweep::{
-    effective_jobs, parallel_map_ordered, CellReports, EpochGrid, ReportStore, SweepCell,
-    SweepProgress, SweepRunner, SweepSpec, UnitKey,
+    effective_jobs, parallel_map_ordered, CellReports, EpochGrid, SweepCell, SweepProgress,
+    SweepRunner, SweepSpec,
 };
 pub use table1::{page_table_study, PageTableStudy};
 

@@ -17,11 +17,9 @@
 //! Each unit runs serially on one worker thread (see DESIGN.md, "Why
 //! units are not pipelined").
 //!
-//! The optional report store ([`SweepRunner::report_store`], for
-//! finished unit reports) is best-effort: a miss — including a damaged
-//! entry that fails its checksum — falls back to simulating the unit, so
-//! it can change only wall-clock time, never results. Graphs are always
-//! generated; a unit whose report is replayed generates nothing.
+//! Nothing is stored between runs: every unit is simulated, and a
+//! harness that needs several figures from one grid sweeps the union of
+//! their schemes once (the `accelfigs` bench binary).
 
 use crate::experiment::{run_graph_experiment, ExperimentConfig, GraphRunReport};
 use dvm_accel::Workload;
@@ -146,32 +144,6 @@ pub struct SweepProgress<'a> {
     pub dataset: &'a str,
     /// Scheme of the unit that just finished.
     pub scheme: &'a str,
-}
-
-/// Identity of one sweep unit — everything that determines its
-/// [`GraphRunReport`]. [`ReportStore`] implementations key on this.
-#[derive(Debug, Clone, Copy)]
-pub struct UnitKey<'a> {
-    /// Workload, with all its parameters.
-    pub workload: &'a Workload,
-    /// Input dataset.
-    pub dataset: Dataset,
-    /// Shrink divisor the dataset was generated with.
-    pub divisor: u32,
-    /// MMU scheme under test.
-    pub mmu: SchemeId,
-}
-
-/// A memo of completed sweep units. The sweep engine consults it before
-/// running a unit and records every unit it does run; a `load` hit must
-/// return a report whose *serialized form* is identical to what a fresh
-/// run would produce. Implementations live above `dvm-core` (the bench
-/// crate persists reports as JSON); simulation code stays storage-free.
-pub trait ReportStore: Sync {
-    /// A previously recorded report for `key`, if one exists.
-    fn load(&self, key: &UnitKey<'_>) -> Option<GraphRunReport>;
-    /// Record a freshly computed report for `key`.
-    fn store(&self, key: &UnitKey<'_>, report: &GraphRunReport);
 }
 
 /// Results of one cell: the pair plus one report per scheme, in the
@@ -308,7 +280,6 @@ pub struct SweepRunner<'a> {
     spec: &'a SweepSpec,
     jobs: usize,
     progress: Option<&'a (dyn Fn(SweepProgress<'_>) + Sync)>,
-    reports: Option<&'a dyn ReportStore>,
 }
 
 impl std::fmt::Debug for SweepRunner<'_> {
@@ -317,20 +288,18 @@ impl std::fmt::Debug for SweepRunner<'_> {
             .field("cells", &self.spec.cells.len())
             .field("jobs", &self.jobs)
             .field("progress", &self.progress.is_some())
-            .field("reports", &self.reports.is_some())
             .finish()
     }
 }
 
 impl<'a> SweepRunner<'a> {
-    /// A serial runner without a report store for `spec`; chain the
-    /// builder methods to turn features on.
+    /// A serial runner for `spec`; chain the builder methods to turn
+    /// features on.
     pub fn new(spec: &'a SweepSpec) -> Self {
         Self {
             spec,
             jobs: 1,
             progress: None,
-            reports: None,
         }
     }
 
@@ -349,20 +318,12 @@ impl<'a> SweepRunner<'a> {
         self
     }
 
-    /// Reuse per-unit reports across runs (and across figure binaries
-    /// that sweep the same grid) instead of re-simulating them.
-    pub fn report_store(mut self, store: &'a dyn ReportStore) -> Self {
-        self.reports = Some(store);
-        self
-    }
-
     /// Execute the sweep.
     ///
     /// Results come back in spec order — cell by cell, scheme by scheme —
     /// regardless of `jobs`, so downstream formatting is reproducible
     /// across parallelism levels. No option perturbs results: a parallel,
-    /// progress-reporting run replaying a report store returns exactly
-    /// what a bare serial run does.
+    /// progress-reporting run returns exactly what a bare serial run does.
     ///
     /// # Errors
     ///
@@ -393,7 +354,6 @@ impl<'a> SweepRunner<'a> {
             cell: usize,
             workload: Workload,
             dataset: Dataset,
-            divisor: u32,
             mmu: SchemeId,
             key: usize,
         }
@@ -407,7 +367,6 @@ impl<'a> SweepRunner<'a> {
                     cell,
                     workload: c.workload,
                     dataset: c.dataset,
-                    divisor: c.divisor,
                     mmu,
                     key,
                 })
@@ -417,30 +376,11 @@ impl<'a> SweepRunner<'a> {
         let total = units.len();
         let done = AtomicUsize::new(0);
         let outcomes = parallel_map_ordered(&units, self.jobs, |unit| {
-            // The store's key deliberately excludes `jobs`: it does not
-            // affect the report, so a report computed at any parallelism
-            // level serves every other one.
-            let unit_key = UnitKey {
-                workload: &unit.workload,
-                dataset: unit.dataset,
-                divisor: unit.divisor,
-                mmu: unit.mmu,
-            };
-            let report = match self.reports.and_then(|store| store.load(&unit_key)) {
-                Some(cached) => Ok(cached),
-                None => {
-                    let graph = shared[unit.key].get();
-                    let report = run_graph_experiment(
-                        &unit.workload,
-                        &graph,
-                        &ExperimentConfig::for_mmu(unit.mmu),
-                    );
-                    if let (Some(store), Ok(report)) = (self.reports, &report) {
-                        store.store(&unit_key, report);
-                    }
-                    report
-                }
-            };
+            let report = run_graph_experiment(
+                &unit.workload,
+                &shared[unit.key].get(),
+                &ExperimentConfig::for_mmu(unit.mmu),
+            );
             shared[unit.key].release();
             if let Some(progress) = self.progress {
                 progress(SweepProgress {

@@ -26,9 +26,9 @@
 //! fallback reuses the same TLB-hit and walk-outcome helpers.
 //!
 //! The table is closed: a new scheme is added in this file (DESIGN.md,
-//! "Adding a translation scheme"). Bench binaries are separate processes
-//! that share one report cache, so a scheme registered at runtime by one
-//! of them could never reach the others anyway.
+//! "Adding a translation scheme"). Every bench binary and the committed
+//! goldens name schemes by this table, so a scheme registered at runtime
+//! by one binary would be unknown to every other and to the goldens.
 
 use crate::iommu::{AccessCtx, Iommu, Validation};
 use crate::ptcache::{PtCacheConfig, PtcLookup};
@@ -57,8 +57,8 @@ pub struct SchemeStructures {
 /// [`Iommu`] handed to [`access`](Self::access). That keeps every scheme
 /// a plain `&'static` object shared by every concurrent sweep unit.
 pub trait TranslationScheme: fmt::Debug + Send + Sync {
-    /// Display name; unique within the registry (used by CLI filters,
-    /// report-cache keys and result documents).
+    /// Display name; unique within the registry (used by CLI filters and
+    /// result documents).
     fn name(&self) -> &'static str;
 
     /// Page size the OS should use when building page tables for this
@@ -105,8 +105,8 @@ pub trait TranslationScheme: fmt::Debug + Send + Sync {
 /// Handle to one of the builtin [`TranslationScheme`]s.
 ///
 /// Prints and parses as the scheme's registry name; the numeric index is
-/// an implementation detail (report-cache keys and result documents only
-/// ever see the name, so table order can never alias cached data).
+/// an implementation detail (CLI filters and result documents only ever
+/// see the name, so table order can never alias stored results).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchemeId(u16);
 
@@ -767,7 +767,7 @@ mod tests {
     }
 
     /// parse <-> Display round-trips for every registered scheme — the
-    /// registry contract the CLI and report cache rely on.
+    /// registry contract the CLI and result documents rely on.
     #[test]
     fn registry_round_trips_every_scheme() {
         for id in SchemeId::all() {

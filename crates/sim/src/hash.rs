@@ -1,7 +1,7 @@
 //! Dependency-free hashing: 64-bit FNV-1a, the content hash behind the
-//! report cache's file names and entry checksums and the pinned digests of
-//! the dataset generators' output; and [`U64Hasher`], a multiplicative
-//! hasher for the OS model's maps keyed by frame or page number.
+//! pinned digests of the dataset generators' output; and [`U64Hasher`],
+//! a multiplicative hasher for the OS model's maps keyed by frame or page
+//! number.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

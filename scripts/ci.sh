@@ -61,8 +61,8 @@ cmp "$CI_TMP/serial.json" "$CI_TMP/jobs2.json"
 echo "fig2 --jobs 2 output is byte-identical to serial"
 
 echo "== golden-result diff (virt, fig10, table4, table1, table3, quick scale)"
-# Regenerate the quick-scale documents that need no report cache and
-# diff them against the committed goldens. table1 and table3 generate
+# Regenerate the quick-scale documents of the other grids and diff them
+# against the committed goldens. table1 and table3 generate
 # every dataset, so they also pin the generators' quick-scale output.
 target/release/virt --json "$CI_TMP/virt_quick.json" > /dev/null
 target/release/fig10 --scale quick --json "$CI_TMP/fig10_quick.json" > /dev/null
@@ -74,31 +74,26 @@ done
 scripts/diff_results.sh "$CI_TMP" virt fig10 table4 table1 table3
 
 echo "== golden-result diff (fig8 + fig2 + fig9 + fig11, quick scale)"
-# The four figures share one fresh report cache, in the reproduce_all.sh
-# order: fig8 simulates, fig2 and fig9 replay, fig11 replays the
-# 4K/DVM-PE+/Ideal columns and simulates only the two SVA schemes. Host
+# accelfigs sweeps the four figures' union grid once and writes each
+# figure's document, byte-identical to its own binary's --json. Host
 # speed is guarded by perfbench at the end, not by these wall times.
-# Two sweep threads: the fig2, fig11 and churn gates check that --jobs 2
-# output is byte-identical to serial, and it halves this step's time.
-for fig in fig8 fig2 fig9 fig11; do
-    target/release/$fig --scale quick --jobs 2 \
-        --report-cache "$CI_TMP/report-cache" \
-        --json "$CI_TMP/${fig}_quick.json" > /dev/null
-done
+# Two sweep threads: the fig2, accelfigs and churn gates check that
+# --jobs 2 output is byte-identical to serial, and it halves this
+# step's time.
+target/release/accelfigs "$CI_TMP" --scale quick --jobs 2 > /dev/null
 scripts/diff_results.sh "$CI_TMP" fig8 fig2 fig9 fig11
 
-echo "== threaded determinism (fig11, quick scale, --jobs 2)"
-# The warm report cache makes both runs replays, so this checks that the
-# threaded runner returns cells in spec order.
-target/release/fig11 --scale quick --datasets FR --jobs 1 \
-    --report-cache "$CI_TMP/report-cache" \
-    --json "$CI_TMP/fig11_serial.json" > "$CI_TMP/fig11_serial.txt"
-target/release/fig11 --scale quick --datasets FR --jobs 2 \
-    --report-cache "$CI_TMP/report-cache" \
-    --json "$CI_TMP/fig11_jobs2.json" > "$CI_TMP/fig11_jobs2.txt"
-cmp "$CI_TMP/fig11_serial.txt" "$CI_TMP/fig11_jobs2.txt"
-cmp "$CI_TMP/fig11_serial.json" "$CI_TMP/fig11_jobs2.json"
-echo "fig11 --jobs 2 output is byte-identical to serial"
+echo "== threaded determinism (accelfigs, quick scale FR, --jobs 2)"
+# The union sweep runs all nine schemes, so this checks that the
+# threaded runner returns every scheme's cells in spec order.
+target/release/accelfigs "$CI_TMP/serial" --scale quick --datasets FR --jobs 1 > /dev/null
+target/release/accelfigs "$CI_TMP/jobs2" --scale quick --datasets FR --jobs 2 > /dev/null
+for fig in fig8 fig2 fig9 fig11; do
+    for ext in txt json; do
+        cmp "$CI_TMP/serial/${fig}_quick.$ext" "$CI_TMP/jobs2/${fig}_quick.$ext"
+    done
+done
+echo "accelfigs --jobs 2 output is byte-identical to serial"
 
 echo "== churn time-series (quick scale: golden diff + determinism)"
 # The churn trajectory is a pure function of its config: the quick-scale

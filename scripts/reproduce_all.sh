@@ -12,15 +12,12 @@
 # cores). Output is byte-identical to a serial run; only wall-clock
 # changes.
 # Every binary generates the datasets it needs. Figures 8, 2, 9 and 11
-# sweep overlapping unit grids, so they share a per-invocation report
-# cache (results/.report-cache, cleared up front): the first binary to
-# simulate a unit records its report, the rest replay it byte-identically.
-# Figure 8 runs first because Figure 2's (4K, 2M) units are a subset of
-# its grid, so Figure 2 is a pure replay that generates and simulates
-# nothing. The cache is unbounded; a whole grid of unit reports is tens
-# of KB. Each binary writes results/<name>_<scale>.json, and the script
-# records per-binary wall-clock and report-cache hit/miss counts in
-# results/BENCH_sweep.json.
+# share one grid, so one process, accelfigs, sweeps the union of their
+# schemes (15 pairs x 9 schemes) once and writes all four figures'
+# results/<fig>_<scale>.{txt,json}, byte-identical to what each figure's
+# own binary prints. Every other binary writes
+# results/<name>_<scale>.json next to its text table, and the script
+# records per-binary wall-clock in results/BENCH_sweep.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,59 +32,40 @@ while [[ $# -gt 0 ]]; do
 done
 
 B=target/release
-REPORT_CACHE=results/.report-cache
 mkdir -p results
-# Unit reports must not outlive one invocation (a simulator change would
-# otherwise replay stale results), so start from an empty report cache.
-rm -rf "$REPORT_CACHE"
 
 cargo build --release -p dvm-bench
 
 suffix="$SCALE"
 BENCH_ROWS=""
 now_ms() { python3 -c 'import time; print(int(time.time()*1000))'; }
-# Read a `key=` field from the stderr stats line with the given prefix.
-cache_count() { # prefix, key, stderr-file
-    awk -v prefix="^$1:" -v key="$2" '$0 ~ prefix {
-        for (i = 1; i <= NF; i++)
-            if (split($i, kv, "=") == 2 && kv[1] == key) total += kv[2]
-    } END { print total + 0 }' "$3"
+timed() { # name, command...
+    local name="$1"; shift
+    local t0 t1
+    t0=$(now_ms)
+    "$@"
+    t1=$(now_ms)
+    BENCH_ROWS+="    {\"bin\": \"$name\", \"wall_ms\": $((t1 - t0))},"$'\n'
 }
 run() { # name, extra args...
     local name="$1"; shift
     echo ">>> $name --scale $SCALE --jobs $JOBS $*"
-    local t0 t1 err
-    err=$(mktemp)
-    t0=$(now_ms)
-    "$B/$name" --scale "$SCALE" --jobs "$JOBS" \
+    timed "$name" "$B/$name" --scale "$SCALE" --jobs "$JOBS" \
         --json "results/${name}_${suffix}.json" "$@" \
-        > "results/${name}_${suffix}.txt" \
-        2> "$err" || { cat "$err" >&2; rm -f "$err"; exit 1; }
-    t1=$(now_ms)
-    cat "$err" >&2
-    local hits misses
-    hits=$(cache_count report-cache hits "$err")
-    misses=$(cache_count report-cache misses "$err")
-    rm -f "$err"
-    BENCH_ROWS+="    {\"bin\": \"$name\", \"wall_ms\": $((t1 - t0)), \"report_hits\": $hits, \"report_misses\": $misses},"$'\n'
+        > "results/${name}_${suffix}.txt"
 }
-
-# The shared unit-report cache.
-RC_ARGS=(--report-cache "$REPORT_CACHE")
 
 run table3
 run table1
 run table4
 run fig10
-run fig8 "${RC_ARGS[@]}"
-run fig2 "${RC_ARGS[@]}"
-run fig9 "${RC_ARGS[@]}"
-run fig11 "${RC_ARGS[@]}"
+echo ">>> accelfigs results --scale $SCALE --jobs $JOBS"
+timed accelfigs "$B/accelfigs" results --scale "$SCALE" --jobs "$JOBS"
 run table5
 run virt
 run churn
 
-# Timing + cache summary for this sweep (not diffed against goldens).
+# Timing summary for this sweep (not diffed against goldens).
 {
     echo "{"
     echo "  \"schema_version\": 1,"
