@@ -28,12 +28,18 @@ fn assert_reproduces_fixture(bin: &str, exe: &str, fixture: &str) {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join(format!("{bin}_smoke.json"));
-    let status = Command::new(exe)
+    // Captured, so the figure's table stays out of the test log.
+    let run = Command::new(exe)
         .args(["--scale", "smoke", "--json"])
         .arg(&out)
-        .status()
+        .output()
         .unwrap_or_else(|e| panic!("{bin} runs: {e}"));
-    assert!(status.success(), "{bin} exited with {status}");
+    assert!(
+        run.status.success(),
+        "{bin} exited with {}: {}",
+        run.status,
+        String::from_utf8_lossy(&run.stderr)
+    );
 
     let produced = std::fs::read(&out).unwrap_or_else(|e| panic!("{bin} wrote the document: {e}"));
     assert!(

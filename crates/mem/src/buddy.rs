@@ -7,12 +7,18 @@
 //! `n` frames stay allocated. Blocks are naturally aligned, which is what
 //! lets the OS later map identity regions with 2 MB / 1 GB leaf entries.
 //!
-//! Determinism: free blocks are kept in ordered sets and allocation always
-//! takes the lowest-addressed suitable block, so allocation sequences are
-//! reproducible run-to-run.
+//! Representation: each order's free blocks are a bitmap over block
+//! index (`start >> order`) with summary levels above it, so the
+//! lowest-addressed free block of an order is a few `trailing_zeros`
+//! calls. Allocation always takes the lowest-addressed suitable block,
+//! so allocation sequences are reproducible run-to-run. The allocation
+//! map is two bitmaps over frames (allocated, and first frame of a
+//! tracked allocation); coalesced free runs are word scans of the first.
+//! Every bitmap grows on first use, so a fresh machine costs a few words
+//! whatever its size.
 
 use dvm_types::DvmError;
-use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// A contiguous range of physical frames returned by the allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,17 +75,225 @@ pub struct FreeSpanHistogram {
     pub largest_run: u64,
 }
 
+/// A growable bitmap. Bits past the end of `words` read as zero, so a
+/// bitmap costs host memory only up to its highest bit ever set.
+#[derive(Clone, Default)]
+struct Bits {
+    words: Vec<u64>,
+}
+
+impl Bits {
+    /// Word `w`; zero past the end.
+    #[inline]
+    fn word(&self, w: u64) -> u64 {
+        self.words.get(w as usize).copied().unwrap_or(0)
+    }
+
+    #[inline]
+    fn get(&self, i: u64) -> bool {
+        self.word(i / 64) >> (i % 64) & 1 != 0
+    }
+
+    #[inline]
+    fn set(&mut self, i: u64) {
+        let w = (i / 64) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, i: u64) {
+        if let Some(word) = self.words.get_mut((i / 64) as usize) {
+            *word &= !(1 << (i % 64));
+        }
+    }
+
+    /// Set (`on`) or clear every bit of `[start, end)`.
+    fn fill(&mut self, start: u64, end: u64, on: bool) {
+        if start >= end {
+            return;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        if on && last >= self.words.len() as u64 {
+            self.words.resize(last as usize + 1, 0);
+        }
+        // Clearing past the end has nothing to clear.
+        for w in first..(last + 1).min(self.words.len() as u64) {
+            let lo = if w == first { start % 64 } else { 0 };
+            let hi = if w == last { (end - 1) % 64 } else { 63 };
+            let mask = (u64::MAX << lo) & (u64::MAX >> (63 - hi));
+            if on {
+                self.words[w as usize] |= mask;
+            } else {
+                self.words[w as usize] &= !mask;
+            }
+        }
+    }
+
+    /// The first index in `[from, limit)` whose bit is `on`, or `limit`.
+    #[inline]
+    fn find(&self, from: u64, limit: u64, on: bool) -> u64 {
+        if from >= limit {
+            return limit;
+        }
+        let flip = if on { 0 } else { u64::MAX };
+        let mut w = from / 64;
+        let mut bits = (self.word(w) ^ flip) & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            // No bit is set past the end.
+            if w * 64 >= limit || (on && w >= self.words.len() as u64) {
+                return limit;
+            }
+            bits = self.word(w) ^ flip;
+        }
+        (w * 64 + u64::from(bits.trailing_zeros())).min(limit)
+    }
+
+    /// Indices of the set bits, ascending.
+    fn ones(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let bit = u64::from(bits.trailing_zeros());
+                bits &= bits.wrapping_sub(1);
+                (bit < 64).then_some(w as u64 * 64 + bit)
+            })
+        })
+    }
+}
+
+/// Two bitmaps are equal when they hold the same bits, whatever their
+/// lengths.
+impl PartialEq for Bits {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for Bits {}
+
+/// The free blocks of one order, as a bitmap over `start >> order`. Above
+/// it sit summary levels, each with one bit per non-zero word of the level
+/// below, up to a level of a single word; the lowest block is one
+/// `trailing_zeros` per level.
+#[derive(Clone, PartialEq, Eq)]
+struct BlockSet {
+    levels: Vec<Bits>,
+    len: u64,
+}
+
+impl BlockSet {
+    /// An empty set of block indices below `slots`.
+    fn new(slots: u64) -> Self {
+        let mut levels = vec![Bits::default()];
+        let mut span = slots;
+        while span > 64 {
+            span = span.div_ceil(64);
+            levels.push(Bits::default());
+        }
+        Self { levels, len: 0 }
+    }
+
+    #[inline]
+    fn contains(&self, i: u64) -> bool {
+        self.levels[0].get(i)
+    }
+
+    fn insert(&mut self, mut i: u64) {
+        debug_assert!(!self.contains(i), "block {i} is already free");
+        for level in &mut self.levels {
+            let was_empty = level.word(i / 64) == 0;
+            level.set(i);
+            if !was_empty {
+                break;
+            }
+            i /= 64;
+        }
+        self.len += 1;
+    }
+
+    /// Remove block `i`; `false` if it was not in the set.
+    fn remove(&mut self, mut i: u64) -> bool {
+        if !self.contains(i) {
+            return false;
+        }
+        for level in &mut self.levels {
+            level.clear(i);
+            if level.word(i / 64) != 0 {
+                break;
+            }
+            i /= 64;
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// Remove and return the lowest block.
+    fn pop_first(&mut self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut i = 0u64;
+        for level in self.levels.iter().rev() {
+            i = i * 64 + u64::from(level.word(i).trailing_zeros());
+        }
+        self.remove(i);
+        Some(i)
+    }
+}
+
 /// Binary buddy allocator over 4 KiB frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BuddyAllocator {
     total_frames: u64,
     max_order: u32,
-    /// `free_lists[k]` holds start frames of free blocks of `2^k` frames.
-    free_lists: Vec<BTreeSet<u64>>,
-    /// Allocated ranges (`start -> count`), for validation and splitting on
+    /// `free_lists[k]` holds the free blocks of `2^k` frames.
+    free_lists: Vec<BlockSet>,
+    /// One bit per allocated frame.
+    allocated: Bits,
+    /// One bit per first frame of a tracked allocation; with `allocated`,
+    /// the allocation map used for validation and for splitting on
     /// partial frees (the eager-allocation tail trim).
-    allocated: BTreeMap<u64, u64>,
+    starts: Bits,
     free_frames: u64,
+}
+
+/// The text the allocator has always printed: each free list as the set
+/// of its block starts, and the allocation map as `{start: count, ..}`.
+impl fmt::Debug for BuddyAllocator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let free_lists = fmt::from_fn(|f| {
+            f.debug_list()
+                .entries(self.free_lists.iter().enumerate().map(|(order, set)| {
+                    fmt::from_fn(move |f| {
+                        f.debug_set()
+                            .entries(set.levels[0].ones().map(|i| i << order))
+                            .finish()
+                    })
+                }))
+                .finish()
+        });
+        let allocated = fmt::from_fn(|f| {
+            f.debug_map()
+                .entries(self.starts.ones().map(|s| (s, self.tracked_end(s) - s)))
+                .finish()
+        });
+        f.debug_struct("BuddyAllocator")
+            .field("total_frames", &self.total_frames)
+            .field("max_order", &self.max_order)
+            .field("free_lists", &free_lists)
+            .field("allocated", &allocated)
+            .field("free_frames", &self.free_frames)
+            .finish()
+    }
 }
 
 impl BuddyAllocator {
@@ -94,8 +308,11 @@ impl BuddyAllocator {
         let mut this = Self {
             total_frames,
             max_order,
-            free_lists: vec![BTreeSet::new(); max_order as usize + 1],
-            allocated: BTreeMap::new(),
+            free_lists: (0..=max_order)
+                .map(|order| BlockSet::new(total_frames.div_ceil(1 << order)))
+                .collect(),
+            allocated: Bits::default(),
+            starts: Bits::default(),
             free_frames: 0,
         };
         // Carve the (possibly non-power-of-two) span into maximal aligned
@@ -141,9 +358,8 @@ impl BuddyAllocator {
             self.free_frames += block_frames - count;
         }
         self.free_frames -= block_frames;
-        let range = FrameRange { start, count };
-        self.allocated.insert(start, count);
-        Ok(range)
+        self.track(start, count);
+        Ok(FrameRange { start, count })
     }
 
     /// Allocate a single frame (demand paging path).
@@ -181,50 +397,41 @@ impl BuddyAllocator {
             ));
         }
         // First fit over the coalesced runs, lowest address first.
-        let mut chosen: Option<u64> = None;
-        for run in self.free_runs() {
-            let aligned = run.start.next_multiple_of(align);
-            if aligned + count <= run.end() {
-                chosen = Some(aligned);
-                break;
-            }
-        }
-        let start = chosen.ok_or(DvmError::OutOfMemory {
-            requested: count * dvm_types::PAGE_SIZE,
-        })?;
+        let start = self
+            .runs()
+            .find_map(|run| {
+                let aligned = run.start.next_multiple_of(align);
+                (aligned + count <= run.end()).then_some(aligned)
+            })
+            .ok_or(DvmError::OutOfMemory {
+                requested: count * dvm_types::PAGE_SIZE,
+            })?;
         self.carve_free_range(start, count);
         self.free_frames -= count;
-        self.allocated.insert(start, count);
+        self.track(start, count);
         Ok(FrameRange { start, count })
     }
 
     /// Remove the (known-free) frame range `[start, start+count)` from the
-    /// free lists, re-inserting the uncovered parts of any overlapped
-    /// blocks.
+    /// free lists, re-inserting the uncovered parts of the blocks at its
+    /// two ends.
     fn carve_free_range(&mut self, start: u64, count: u64) {
         let end = start + count;
-        for order in 0..=self.max_order {
-            let len = 1u64 << order;
-            // Blocks of this order overlapping [start, end) begin in
-            // [start - len + 1, end).
-            let lo = start.saturating_sub(len - 1);
-            let overlapping: Vec<u64> = self.free_lists[order as usize]
-                .range(lo..end)
-                .copied()
-                .collect();
-            for bstart in overlapping {
-                let bend = bstart + len;
-                if bend <= start {
-                    continue;
-                }
-                self.free_lists[order as usize].remove(&bstart);
-                if bstart < start {
-                    self.insert_free_span(bstart, start - bstart);
-                }
-                if bend > end {
-                    self.insert_free_span(end, bend - end);
-                }
+        let mut cursor = start;
+        while cursor < end {
+            // The free block holding `cursor`.
+            let order = (0..=self.max_order)
+                .find(|&order| self.free_lists[order as usize].remove(cursor >> order))
+                .expect("carved frames are free");
+            let bstart = cursor >> order << order;
+            let bend = bstart + (1u64 << order);
+            if bstart < start {
+                self.insert_free_span(bstart, start - bstart);
             }
+            if bend > end {
+                self.insert_free_span(end, bend - end);
+            }
+            cursor = bend;
         }
     }
 
@@ -239,7 +446,7 @@ impl BuddyAllocator {
         for order in 0..=self.max_order {
             let start = frame & !((1u64 << order) - 1);
             if start + (1u64 << order) > self.total_frames
-                || !self.free_lists[order as usize].remove(&start)
+                || !self.free_lists[order as usize].remove(frame >> order)
             {
                 continue;
             }
@@ -258,7 +465,7 @@ impl BuddyAllocator {
             }
             debug_assert_eq!(cur_start, frame);
             self.free_frames -= 1;
-            self.allocated.insert(frame, 1);
+            self.track(frame, 1);
             return true;
         }
         false
@@ -272,14 +479,14 @@ impl BuddyAllocator {
     /// remaining after [`Self::free_subrange`]); catching double frees and
     /// wild frees loudly is deliberate — they are simulator bugs.
     pub fn free_frames(&mut self, range: FrameRange) {
-        match self.allocated.get(&range.start) {
-            Some(&count) if count == range.count => {
-                self.allocated.remove(&range.start);
-            }
-            other => {
-                panic!("free of untracked range {range:?} (allocator has {other:?} at that start)")
-            }
+        let tracked = self
+            .starts
+            .get(range.start)
+            .then(|| self.tracked_end(range.start) - range.start);
+        if tracked != Some(range.count) {
+            panic!("free of untracked range {range:?} (allocator has {tracked:?} at that start)");
         }
+        self.untrack(range.start, range.end());
         self.release_span(range.start, range.count);
     }
 
@@ -300,36 +507,25 @@ impl BuddyAllocator {
     ///
     /// Panics if any frame of the range is not allocated.
     pub fn free_subrange(&mut self, range: FrameRange) {
-        let mut cursor = range.start;
-        while cursor < range.end() {
-            let (astart, aend) = match self.allocated.range(..=cursor).next_back() {
-                Some((&astart, &acount)) if cursor < astart + acount => (astart, astart + acount),
-                _ => panic!("free_subrange {range:?} covers unallocated frame {cursor}"),
-            };
-            self.allocated.remove(&astart);
-            if cursor > astart {
-                self.allocated.insert(astart, cursor - astart);
-            }
-            if range.end() < aend {
-                self.allocated.insert(range.end(), aend - range.end());
-            }
-            cursor = aend;
+        let end = range.end();
+        let hole = self.allocated.find(range.start, end, false);
+        if hole < end {
+            panic!("free_subrange {range:?} covers unallocated frame {hole}");
         }
+        if range.count == 0 {
+            return;
+        }
+        // Frame `end`, if allocated, now starts a tracked allocation.
+        if self.allocated.get(end) {
+            self.starts.set(end);
+        }
+        self.untrack(range.start, end);
         self.release_span(range.start, range.count);
     }
 
     /// `true` if every frame of `range` is currently allocated.
     pub fn is_allocated(&self, range: FrameRange) -> bool {
-        let mut cursor = range.start;
-        while cursor < range.end() {
-            match self.allocated.range(..=cursor).next_back() {
-                Some((&astart, &acount)) if cursor < astart + acount => {
-                    cursor = astart + acount;
-                }
-                _ => return false,
-            }
-        }
-        true
+        self.allocated.find(range.start, range.end(), false) == range.end()
     }
 
     /// Snapshot of fragmentation statistics.
@@ -337,9 +533,9 @@ impl BuddyAllocator {
         let mut largest = 0u64;
         let mut blocks = 0u64;
         for (order, list) in self.free_lists.iter().enumerate() {
-            if !list.is_empty() {
+            if list.len > 0 {
                 largest = largest.max(1u64 << order);
-                blocks += list.len() as u64;
+                blocks += list.len;
             }
         }
         BuddyStats {
@@ -358,21 +554,7 @@ impl BuddyAllocator {
     /// merging cannot always fuse, so the free *lists* over-state
     /// fragmentation that this view sees through.
     pub fn free_runs(&self) -> Vec<FrameRange> {
-        let mut blocks: Vec<(u64, u64)> = Vec::new();
-        for (order, list) in self.free_lists.iter().enumerate() {
-            for &start in list {
-                blocks.push((start, 1u64 << order));
-            }
-        }
-        blocks.sort_unstable();
-        let mut runs: Vec<FrameRange> = Vec::new();
-        for (start, len) in blocks {
-            match runs.last_mut() {
-                Some(last) if last.end() == start => last.count += len,
-                _ => runs.push(FrameRange { start, count: len }),
-            }
-        }
-        runs
+        self.runs().collect()
     }
 
     /// Histogram of coalesced free-run lengths by power-of-two bucket
@@ -381,7 +563,7 @@ impl BuddyAllocator {
         let mut buckets = vec![0u64; self.max_order as usize + 1];
         let mut runs = 0u64;
         let mut largest = 0u64;
-        for run in self.free_runs() {
+        for run in self.runs() {
             let bucket = (63 - run.count.leading_zeros()).min(self.max_order) as usize;
             buckets[bucket] += 1;
             runs += 1;
@@ -394,26 +576,53 @@ impl BuddyAllocator {
         }
     }
 
+    /// The maximal runs of unallocated frames, lowest first: a word scan of
+    /// the allocation bitmap. Every frame is either allocated or in exactly
+    /// one free block, so these are the coalesced free blocks.
+    fn runs(&self) -> impl Iterator<Item = FrameRange> + '_ {
+        let mut cursor = 0;
+        std::iter::from_fn(move || {
+            let start = self.allocated.find(cursor, self.total_frames, false);
+            if start == self.total_frames {
+                return None;
+            }
+            cursor = self.allocated.find(start, self.total_frames, true);
+            Some(FrameRange {
+                start,
+                count: cursor - start,
+            })
+        })
+    }
+
+    /// One past the last frame of the tracked allocation starting at `start`.
+    fn tracked_end(&self, start: u64) -> u64 {
+        let next_start = self.starts.find(start + 1, self.total_frames, true);
+        self.allocated
+            .find(start, self.total_frames, false)
+            .min(next_start)
+    }
+
+    /// Record `[start, start+count)` as one tracked allocation.
+    fn track(&mut self, start: u64, count: u64) {
+        self.allocated.fill(start, start + count, true);
+        self.starts.set(start);
+    }
+
+    /// Drop `[start, end)` from the allocation map.
+    fn untrack(&mut self, start: u64, end: u64) {
+        self.allocated.fill(start, end, false);
+        self.starts.fill(start, end, false);
+    }
+
     /// Take one block of exactly `order`, splitting larger blocks if needed.
     fn take_block(&mut self, order: u32) -> Option<u64> {
-        if order > self.max_order {
-            return None;
-        }
-        // Find the smallest order >= requested with a free block.
-        let mut have = order;
-        while have <= self.max_order && self.free_lists[have as usize].is_empty() {
-            have += 1;
-        }
-        if have > self.max_order {
-            return None;
-        }
-        let start = *self.free_lists[have as usize].iter().next()?;
-        self.free_lists[have as usize].remove(&start);
+        // The smallest order >= requested with a free block.
+        let mut have = (order..=self.max_order).find(|&k| self.free_lists[k as usize].len > 0)?;
+        let start = self.free_lists[have as usize].pop_first()? << have;
         // Split down to the requested order, freeing the upper halves.
         while have > order {
             have -= 1;
-            let buddy = start + (1u64 << have);
-            self.free_lists[have as usize].insert(buddy);
+            self.free_lists[have as usize].insert((start >> have) + 1);
         }
         Some(start)
     }
@@ -429,14 +638,14 @@ impl BuddyAllocator {
             // The buddy may extend past the end of memory on non-power-of-two
             // machines; then it can never be free.
             if buddy + (1u64 << order) > self.total_frames
-                || !self.free_lists[order as usize].remove(&buddy)
+                || !self.free_lists[order as usize].remove(buddy >> order)
             {
                 break;
             }
             start = start.min(buddy);
             order += 1;
         }
-        self.free_lists[order as usize].insert(start);
+        self.free_lists[order as usize].insert(start >> order);
     }
 
     /// Insert an arbitrary span as maximal aligned free blocks (no merge
@@ -450,7 +659,7 @@ impl BuddyAllocator {
             };
             let size_order = 63 - count.leading_zeros();
             let order = align_order.min(size_order).min(self.max_order);
-            self.free_lists[order as usize].insert(start);
+            self.free_lists[order as usize].insert(start >> order);
             start += 1u64 << order;
             count -= 1u64 << order;
         }
@@ -770,20 +979,134 @@ mod tests {
         assert_eq!(a.free_span_histogram().buckets.len(), 11);
     }
 
+    /// A block set's count and summary levels agree with its bitmap: a
+    /// summary bit is set exactly when the word below it is non-zero, and
+    /// the top level is one word.
+    fn check_summaries(set: &BlockSet) {
+        assert_eq!(set.len, set.levels[0].ones().count() as u64, "block count");
+        for pair in set.levels.windows(2) {
+            let (below, above) = (&pair[0], &pair[1]);
+            for w in 0..below.words.len().max(above.words.len() * 64) as u64 {
+                assert_eq!(above.get(w), below.word(w) != 0, "summary bit {w}");
+            }
+        }
+        assert!(set.levels.last().unwrap().words.len() <= 1, "top level");
+    }
+
+    /// Seeded inserts and removes on one block set against a plain
+    /// membership vector: `pop_first` is always the lowest member, and the
+    /// summaries stay exact (set sizes span one, two and three levels).
+    #[test]
+    fn block_set_pops_its_lowest_member() {
+        for (seed, slots) in [
+            (1u64, 1u64),
+            (2, 64),
+            (3, 65),
+            (4, 4096),
+            (5, 4097),
+            (6, 300_000),
+        ] {
+            let mut rng = DetRng::new(seed);
+            let mut set = BlockSet::new(slots);
+            let mut oracle = vec![false; slots as usize];
+            for op in 0..4000u32 {
+                let i = if rng.chance(0.5) {
+                    rng.below(slots)
+                } else {
+                    rng.below(slots.min(200))
+                };
+                match rng.below(3) {
+                    0 if !oracle[i as usize] => {
+                        set.insert(i);
+                        oracle[i as usize] = true;
+                    }
+                    1 => assert_eq!(set.remove(i), std::mem::take(&mut oracle[i as usize])),
+                    _ => {
+                        let lowest = oracle.iter().position(|&b| b).map(|i| i as u64);
+                        assert_eq!(set.pop_first(), lowest, "seed {seed} op {op}");
+                        if let Some(i) = lowest {
+                            oracle[i as usize] = false;
+                        }
+                    }
+                }
+                if op % 97 == 0 {
+                    check_summaries(&set);
+                }
+            }
+            check_summaries(&set);
+        }
+    }
+
+    #[test]
+    fn bitmap_scans_and_fills() {
+        let mut bits = Bits::default();
+        assert_eq!(bits.find(0, 1000, true), 1000);
+        assert_eq!(bits.find(5, 1000, false), 5);
+        bits.fill(60, 200, true);
+        assert_eq!(bits.words.len(), 4);
+        assert_eq!(bits.find(0, 1000, true), 60);
+        assert_eq!(bits.find(60, 1000, false), 200);
+        assert_eq!(bits.find(61, 150, false), 150);
+        bits.fill(64, 128, false);
+        assert_eq!(
+            bits.ones().collect::<Vec<_>>(),
+            [60, 61, 62, 63]
+                .into_iter()
+                .chain(128..200)
+                .collect::<Vec<_>>()
+        );
+        // Clearing past the end neither grows nor panics, and length does
+        // not count towards equality.
+        bits.fill(500, 900, false);
+        assert_eq!(bits.words.len(), 4);
+        let mut longer = bits.clone();
+        longer.set(1000);
+        longer.clear(1000);
+        assert_eq!(longer.words.len(), 16);
+        assert!(longer == bits);
+        assert!(bits == longer);
+        longer.set(999);
+        assert!(longer != bits);
+    }
+
+    /// The allocator's `Debug` text is the one its derived form printed
+    /// when the free lists were ordered sets and the allocation map an
+    /// ordered map (hashed by `os_semantics`), in compact and `{:#?}`
+    /// form.
+    #[test]
+    fn debug_text_lists_blocks_and_allocations() {
+        let mut b = BuddyAllocator::new(12);
+        let r = b.alloc_frames(3).unwrap();
+        assert!(b.alloc_specific_frame(2));
+        b.free_subrange(FrameRange {
+            start: r.start + 1,
+            count: 1,
+        });
+        assert_eq!(
+            format!("{b:?}"),
+            "BuddyAllocator { total_frames: 12, max_order: 4, free_lists: \
+             [{3, 9, 11}, {0}, {4}, {}, {}], allocated: {2: 1, 8: 1, 10: 1}, free_frames: 9 }"
+        );
+        assert_eq!(
+            format!("{:#?}", BuddyAllocator::new(2)),
+            "BuddyAllocator {\n    total_frames: 2,\n    max_order: 1,\n    free_lists: [\n        \
+             {},\n        {\n            0,\n        },\n    ],\n    allocated: {},\n    \
+             free_frames: 2,\n}"
+        );
+    }
+
     /// Every structural invariant the allocator promises, checked against
-    /// the caller's view of live allocations:
-    /// free-list blocks in range / aligned / non-overlapping, free-frame
-    /// conservation, and disjointness of free space from live allocations.
+    /// the caller's view of live allocations: free-list blocks in range
+    /// and non-overlapping (a bitmap over `start >> order` keeps them
+    /// aligned), exact summaries, free-frame conservation, and
+    /// disjointness of free space from live allocations.
     fn check_invariants(b: &BuddyAllocator, live: &[FrameRange]) {
         let mut blocks: Vec<(u64, u64)> = Vec::new();
         for (order, list) in b.free_lists.iter().enumerate() {
-            for &start in list {
-                assert!(
-                    start.is_multiple_of(1u64 << order),
-                    "free block {start} misaligned for order {order}"
-                );
+            for start in list.levels[0].ones().map(|i| i << order) {
                 blocks.push((start, 1u64 << order));
             }
+            check_summaries(list);
         }
         blocks.sort_unstable();
         let mut free_total = 0u64;
@@ -798,6 +1121,20 @@ mod tests {
             free_total += len;
         }
         assert_eq!(free_total, b.free_frames_count(), "free-frame conservation");
+        // The allocated bitmap is exactly the complement of the free blocks.
+        assert_eq!(
+            b.allocated.ones().count() as u64 + free_total,
+            b.total_frames(),
+            "allocated bits"
+        );
+        for &(start, len) in &blocks {
+            let end = start + len;
+            assert_eq!(
+                b.allocated.find(start, end, true),
+                end,
+                "free block {start} allocated"
+            );
+        }
         let live_total: u64 = live.iter().map(|r| r.count).sum();
         assert_eq!(
             free_total + live_total,

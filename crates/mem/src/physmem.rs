@@ -1,6 +1,7 @@
 //! Sparse, byte-addressable simulated physical memory.
 //!
-//! Frames are materialized lazily on first write, so a simulated 32 GiB
+//! Frames are materialized lazily on first write, and the frame table
+//! grows only up to the highest frame written, so a simulated 32 GiB
 //! machine costs host memory proportional to the bytes actually touched.
 //! Reads from never-written frames observe zeros, matching an OS that
 //! hands out zeroed pages.
@@ -37,7 +38,10 @@ fn next_pt_gen() -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct PhysMem {
+    /// Frames `[0, frames.len())`; grown on first write up to the highest
+    /// frame written. A frame past its end reads as zero.
     frames: Vec<Option<Frame>>,
+    total_frames: u64,
     resident: u64,
     pt_gen: u64,
 }
@@ -46,7 +50,8 @@ impl PhysMem {
     /// Create memory with `total_frames` 4 KiB frames, all zero.
     pub fn new(total_frames: u64) -> Self {
         Self {
-            frames: (0..total_frames).map(|_| None).collect(),
+            frames: Vec::new(),
+            total_frames,
             resident: 0,
             pt_gen: next_pt_gen(),
         }
@@ -54,7 +59,7 @@ impl PhysMem {
 
     /// Number of frames this memory can hold.
     pub fn total_frames(&self) -> u64 {
-        self.frames.len() as u64
+        self.total_frames
     }
 
     /// Number of frames actually materialized (host-memory footprint).
@@ -80,12 +85,34 @@ impl PhysMem {
 
     #[inline]
     fn frame_of(&self, pa: PhysAddr) -> (usize, usize) {
-        let frame = (pa.raw() >> PAGE_SHIFT) as usize;
+        let frame = pa.raw() >> PAGE_SHIFT;
         let offset = (pa.raw() & (PAGE_SIZE - 1)) as usize;
-        if frame >= self.frames.len() {
+        if frame >= self.total_frames {
             self.out_of_range(pa);
         }
-        (frame, offset)
+        (frame as usize, offset)
+    }
+
+    /// Table index of frame number `frame`.
+    fn index_of(&self, frame: u64) -> usize {
+        if frame >= self.total_frames {
+            panic!("physical frame {frame:#x} beyond memory");
+        }
+        frame as usize
+    }
+
+    /// Frame `frame`'s bytes, or `None` if it was never written.
+    #[inline]
+    fn frame(&self, frame: usize) -> Option<&[u8; FRAME_BYTES]> {
+        self.frames.get(frame).and_then(Option::as_deref)
+    }
+
+    /// The frame at a table miss in `read_u64` or `read_row`: past the
+    /// grown end it reads as zero, past the machine it panics.
+    #[cold]
+    #[inline(never)]
+    fn unwritten(&self, pa: PhysAddr) {
+        self.frame_of(pa);
     }
 
     #[cold]
@@ -94,13 +121,27 @@ impl PhysMem {
         panic!("physical access beyond memory: {pa}");
     }
 
+    /// Frame `index`'s bytes, materializing it on first write. `index` is
+    /// in range.
     #[inline]
     fn frame_mut(&mut self, index: usize) -> &mut [u8; FRAME_BYTES] {
-        if self.frames[index].is_none() {
-            self.frames[index] = Some(Box::new([0u8; FRAME_BYTES]));
-            self.resident += 1;
+        if !matches!(self.frames.get(index), Some(Some(_))) {
+            self.materialize(index);
         }
-        self.frames[index].as_deref_mut().unwrap()
+        self.frames[index]
+            .as_deref_mut()
+            .expect("frame materialized above")
+    }
+
+    /// Give frame `index` zeroed storage, growing the table to it.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, index: usize) {
+        if index >= self.frames.len() {
+            self.frames.resize_with(index + 1, || None);
+        }
+        self.frames[index] = Some(Box::new([0u8; FRAME_BYTES]));
+        self.resident += 1;
     }
 
     /// Read `buf.len()` bytes starting at `pa`, crossing frames as needed.
@@ -114,7 +155,7 @@ impl PhysMem {
         while done < buf.len() {
             let (frame, offset) = self.frame_of(addr);
             let n = (FRAME_BYTES - offset).min(buf.len() - done);
-            match &self.frames[frame] {
+            match self.frame(frame) {
                 Some(data) => buf[done..done + n].copy_from_slice(&data[offset..offset + n]),
                 None => buf[done..done + n].fill(0),
             }
@@ -147,7 +188,7 @@ impl PhysMem {
         while left > 0 {
             let (frame, offset) = self.frame_of(addr);
             let n = ((FRAME_BYTES - offset) as u64).min(left);
-            if self.frames[frame].is_some() {
+            if self.frame(frame).is_some() {
                 self.frame_mut(frame)[offset..offset + n as usize].fill(0);
             }
             left -= n;
@@ -156,16 +197,20 @@ impl PhysMem {
     }
 
     /// Copy one whole frame to another (copy-on-write resolution).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either frame lies beyond memory.
     pub fn copy_frame(&mut self, src_frame: u64, dst_frame: u64) {
-        let src = self.frames[src_frame as usize].as_deref().copied();
-        match src {
+        let (src, dst) = (self.index_of(src_frame), self.index_of(dst_frame));
+        match self.frame(src).copied() {
             Some(data) => {
-                *self.frame_mut(dst_frame as usize) = data;
+                *self.frame_mut(dst) = data;
             }
             None => {
                 // Source never materialized: destination reads as zero too.
-                if self.frames[dst_frame as usize].is_some() {
-                    self.frame_mut(dst_frame as usize).fill(0);
+                if self.frame(dst).is_some() {
+                    self.frame_mut(dst).fill(0);
                 }
             }
         }
@@ -173,8 +218,13 @@ impl PhysMem {
 
     /// Drop the backing storage of a frame (frees host memory; the frame
     /// reads as zero afterwards). Called when the allocator reclaims frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame lies beyond memory.
     pub fn discard_frame(&mut self, frame: u64) {
-        if self.frames[frame as usize].take().is_some() {
+        let frame = self.index_of(frame);
+        if self.frames.get_mut(frame).and_then(Option::take).is_some() {
             self.resident -= 1;
         }
     }
@@ -200,7 +250,7 @@ macro_rules! typed_access {
                     match self.frames.get(frame) {
                         Some(Some(data)) => buf.copy_from_slice(&data[offset..offset + N]),
                         Some(None) => {}
-                        None => self.out_of_range(pa),
+                        None => self.unwritten(pa),
                     }
                 } else {
                     self.read_bytes(pa, &mut buf);
@@ -294,7 +344,10 @@ impl PhysMem {
                 }
             }
             Some(None) => out.fill(T::from_le([0; 4])),
-            None => self.out_of_range(pa),
+            None => {
+                self.unwritten(pa);
+                out.fill(T::from_le([0; 4]));
+            }
         }
     }
 
@@ -448,5 +501,83 @@ mod tests {
     fn out_of_range_panics() {
         let mem = PhysMem::new(1);
         let _ = mem.read_u8(PhysAddr::new(PAGE_SIZE));
+    }
+
+    #[test]
+    fn frame_table_grows_to_the_highest_frame_written() {
+        // A 32 GiB machine holds no per-frame storage until written.
+        let mut mem = PhysMem::new(8 << 20);
+        assert_eq!(mem.total_frames(), 8 << 20);
+        assert_eq!(mem.frames.capacity(), 0);
+        let last_word = PhysAddr::new(3 * PAGE_SIZE - 8);
+        mem.write_u64(last_word, 7);
+        assert_eq!(mem.frames.len(), 3);
+        // Never-written frames past the grown end read as zero through
+        // every read path and do not grow the table.
+        let far = PhysAddr::from_frame((8 << 20) - 1);
+        assert_eq!(mem.read_u64(far), 0);
+        assert_eq!(mem.read_u64(far + (PAGE_SIZE - 8)), 0);
+        let mut row = [1u32; 4];
+        mem.read_row(far, &mut row);
+        assert_eq!(row, [0; 4]);
+        let mut buf = [1u8; 16];
+        mem.read_bytes(last_word, &mut buf);
+        assert_eq!(buf, [7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        mem.zero_bytes(far, 64);
+        mem.copy_frame(1000, 999);
+        mem.discard_frame(5000);
+        assert_eq!(mem.frames.len(), 3);
+        assert_eq!(mem.resident_frames(), 1);
+        // Copying a written frame far out grows the table to it; the
+        // resident count is the frames materialized, not the table length.
+        mem.copy_frame(2, 1000);
+        assert_eq!(mem.frames.len(), 1001);
+        assert_eq!(mem.resident_frames(), 2);
+        let copied = PhysAddr::from_frame(1000) + (PAGE_SIZE - 8);
+        assert_eq!(mem.read_u64(copied), 7);
+        mem.discard_frame(1000);
+        mem.discard_frame(1000);
+        assert_eq!(mem.resident_frames(), 1);
+        assert_eq!(mem.read_u64(copied), 0);
+    }
+
+    /// Every entry point still panics one frame past the machine, with
+    /// the table grown (frame 0 written) or not.
+    #[test]
+    fn every_entry_point_panics_past_the_machine() {
+        type EntryPoint = (&'static str, fn(&mut PhysMem));
+        let entry_points: [EntryPoint; 6] = [
+            ("read_u64", |m| {
+                m.read_u64(PhysAddr::from_frame(4));
+            }),
+            ("read_row", |m| {
+                m.read_row(PhysAddr::from_frame(4), &mut [0u32; 2])
+            }),
+            ("write_bytes", |m| {
+                m.write_bytes(PhysAddr::new(4 * PAGE_SIZE - 2), &[1; 4])
+            }),
+            ("copy_frame from", |m| m.copy_frame(4, 0)),
+            ("copy_frame to", |m| m.copy_frame(0, 4)),
+            ("discard_frame", |m| m.discard_frame(4)),
+        ];
+        for grown in [false, true] {
+            for (name, call) in entry_points {
+                let caught = std::panic::catch_unwind(|| {
+                    let mut mem = PhysMem::new(4);
+                    if grown {
+                        mem.write_u8(PhysAddr::new(0), 1);
+                    }
+                    call(&mut mem);
+                });
+                let message = caught.expect_err(name);
+                let text = message
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or_default();
+                assert!(text.contains("beyond memory"), "{name}: {text}");
+            }
+        }
+        // The last in-range byte is fine.
+        PhysMem::new(4).write_u8(PhysAddr::new(4 * PAGE_SIZE - 1), 1);
     }
 }
