@@ -6,8 +6,9 @@
 //! The four workloads of the paper — BFS, PageRank, SSSP and
 //! Collaborative Filtering — execute *functionally* against simulated
 //! physical memory via the process's page tables, so every result can be
-//! checked against the host references in [`reference`], while every
-//! access is timed by the configured memory-management scheme.
+//! checked against the host references in [`reference`](mod@reference),
+//! while every access is timed by the configured memory-management
+//! scheme.
 //!
 //! # Examples
 //!

@@ -10,15 +10,16 @@
 //! partitioning); source-side stages run on the source shard. The
 //! workload's execution time is the maximum engine clock.
 //!
-//! Host-side preparation (array initialization) and the accelerator's
+//! The host's whole-array setup writes and result dumps bypass the IOMMU
+//! ([`MemSystem::host_write_row`], paper §4.1). They and the accelerator's
 //! small on-chip state (frontier membership bits, scalar counters) are
-//! functional-only and untimed; all graph-data traffic is timed.
+//! untimed; all graph-data traffic is timed.
 
 use crate::layout::GraphInMemory;
 use dvm_mem::RowWord;
 use dvm_mmu::{dispatch, MemSystem, SchemeDispatch};
 use dvm_sim::Cycles;
-use dvm_types::{Fault, VirtAddr, PAGE_SIZE};
+use dvm_types::{Fault, VirtAddr};
 use std::marker::PhantomData;
 
 /// Accelerator hardware parameters (paper Table 2).
@@ -182,62 +183,23 @@ impl Engines {
 }
 
 // ---------------------------------------------------------------------
-// Untimed host/on-chip helpers (functional only).
+// Host-side result dumps (untimed).
 // ---------------------------------------------------------------------
 
-fn peek_u32(sys: &MemSystem, va: VirtAddr) -> u32 {
-    let (pa, _) = sys
-        .untimed_translate(va)
-        .unwrap_or_else(|| panic!("untimed read of unmapped {va}"));
-    sys.mem.read_u32(pa)
-}
-
-fn peek_f32(sys: &MemSystem, va: VirtAddr) -> f32 {
-    f32::from_bits(peek_u32(sys, va))
-}
-
-fn poke_u32(sys: &mut MemSystem, va: VirtAddr, value: u32) {
-    let (pa, _) = sys
-        .untimed_translate(va)
-        .unwrap_or_else(|| panic!("untimed write of unmapped {va}"));
-    sys.mem.write_u32(pa, value);
-}
-
-fn poke_f32(sys: &mut MemSystem, va: VirtAddr, value: f32) {
-    poke_u32(sys, va, value.to_bits());
-}
-
-/// Host-side memset of a `u32` array (page-chunked, untimed).
-fn memset_u32(sys: &mut MemSystem, base: VirtAddr, count: u64, value: u32) {
-    // One full page of the fill pattern, sliced per chunk. `base` is
-    // 4-aligned and pages are 4-aligned, so chunks are whole words.
-    let mut buf = Vec::with_capacity(PAGE_SIZE as usize);
-    for _ in 0..PAGE_SIZE / 4 {
-        buf.extend_from_slice(&value.to_le_bytes());
-    }
-    let total = count * 4;
-    let mut done = 0u64;
-    while done < total {
-        let va = base + done;
-        let in_page = PAGE_SIZE - (va.raw() % PAGE_SIZE);
-        let n = in_page.min(total - done);
-        let (pa, _) = sys.untimed_translate(va).expect("mapped");
-        sys.mem.write_bytes(pa, &buf[..n as usize]);
-        done += n;
-    }
-}
-
-/// Untimed dump of the property array as `u32`s (for verification).
+/// Untimed dump of the property array as `u32`s (for verification): the
+/// first word of every vertex's property.
 pub fn dump_props_u32(sys: &MemSystem, g: &GraphInMemory) -> Vec<u32> {
-    (0..g.num_vertices)
-        .map(|v| peek_u32(sys, g.prop_entry(v)))
-        .collect()
+    let stride = (g.prop_stride / 4) as usize;
+    let mut words = vec![0u32; g.num_vertices as usize * stride];
+    sys.host_read_row(g.prop_va, &mut words);
+    words.into_iter().step_by(stride).collect()
 }
 
 /// Untimed dump of the property array as `f32`s (for verification).
 pub fn dump_props_f32(sys: &MemSystem, g: &GraphInMemory) -> Vec<f32> {
-    (0..g.num_vertices)
-        .map(|v| peek_f32(sys, g.prop_entry(v)))
+    dump_props_u32(sys, g)
+        .into_iter()
+        .map(f32::from_bits)
         .collect()
 }
 
@@ -410,9 +372,10 @@ fn bfs<D: SchemeDispatch>(
     root: u32,
 ) -> Result<(u64, u32), Fault> {
     assert!(root < g.num_vertices, "root out of range");
-    memset_u32(port.sys, g.prop_va, g.num_vertices as u64, BFS_INF);
-    poke_u32(port.sys, g.prop_entry(root), 0);
-    poke_u32(port.sys, g.frontier_a_va, root);
+    let mut levels = vec![BFS_INF; g.num_vertices as usize];
+    levels[root as usize] = 0;
+    port.sys.host_write_row(g.prop_va, &levels);
+    port.sys.host_write_row(g.frontier_a_va, &[root]);
 
     let (mut cur, mut nxt) = (g.frontier_a_va, g.frontier_b_va);
     let mut frontier_len = 1u64;
@@ -459,11 +422,10 @@ fn pagerank<D: SchemeDispatch>(
     iterations: u32,
 ) -> Result<(u64, u32), Fault> {
     let v_count = g.num_vertices;
-    let init = 1.0f32 / v_count as f32;
-    for v in 0..v_count {
-        poke_f32(port.sys, g.prop_entry(v), init);
-        poke_f32(port.sys, g.temp_entry(v), 0.0);
-    }
+    let ranks = vec![1.0f32 / v_count as f32; v_count as usize];
+    let zeros = vec![0.0f32; v_count as usize];
+    port.sys.host_write_row(g.prop_va, &ranks);
+    port.sys.host_write_row(g.temp_va, &zeros);
     let mut edges_processed = 0u64;
 
     for _ in 0..iterations {
@@ -503,9 +465,10 @@ fn pagerank<D: SchemeDispatch>(
             let rank = (1.0 - DAMPING) / v_count as f32 + DAMPING * f32::from_bits(acc_bits);
             port.write_u32(g.prop_entry(v), rank.to_bits())?;
             port.charge(e);
-            // Accumulator reset rides the same store functionally.
-            poke_f32(port.sys, g.temp_entry(v), 0.0);
         }
+        // Accumulator reset: the apply loop read each accumulator once, so
+        // clearing them all after it leaves the same state.
+        port.sys.host_write_row(g.temp_va, &zeros);
     }
     Ok((edges_processed, iterations))
 }
@@ -517,14 +480,10 @@ fn sssp<D: SchemeDispatch>(
     max_iterations: u32,
 ) -> Result<(u64, u32), Fault> {
     assert!(root < g.num_vertices, "root out of range");
-    memset_u32(
-        port.sys,
-        g.prop_va,
-        g.num_vertices as u64,
-        f32::INFINITY.to_bits(),
-    );
-    poke_f32(port.sys, g.prop_entry(root), 0.0);
-    poke_u32(port.sys, g.frontier_a_va, root);
+    let mut dists = vec![f32::INFINITY; g.num_vertices as usize];
+    dists[root as usize] = 0.0;
+    port.sys.host_write_row(g.prop_va, &dists);
+    port.sys.host_write_row(g.frontier_a_va, &[root]);
 
     let (mut cur, mut nxt) = (g.frontier_a_va, g.frontier_b_va);
     let mut frontier_len = 1u64;
@@ -532,6 +491,7 @@ fn sssp<D: SchemeDispatch>(
     let mut edges_processed = 0u64;
     // Frontier-membership bits: small on-chip structure, untimed.
     let mut in_next = vec![false; g.num_vertices as usize];
+    let mut queued = Vec::new();
 
     while frontier_len > 0 && iterations < max_iterations {
         let mut next_len = 0u64;
@@ -568,8 +528,9 @@ fn sssp<D: SchemeDispatch>(
             }
         }
         // Clear membership bits for the vertices we queued.
-        for i in 0..next_len {
-            let dst = peek_u32(port.sys, nxt + i * 4);
+        queued.resize(next_len as usize, 0u32);
+        port.sys.host_read_row(nxt, &mut queued);
+        for &dst in &queued {
             in_next[dst as usize] = false;
         }
         core::mem::swap(&mut cur, &mut nxt);
@@ -587,17 +548,12 @@ fn cf<D: SchemeDispatch>(
 ) -> Result<(u64, u32), Fault> {
     assert!(features > 0, "CF needs at least one feature");
     let k = features as usize;
-    // Deterministic small initial factors, one untimed row per vertex.
+    // Deterministic small initial factors, written by the host at once.
+    let factors: Vec<f32> = (0..g.num_vertices as u64)
+        .flat_map(|v| (0..k as u64).map(move |f| 0.05 + ((v * 31 + f * 7) % 97) as f32 / 1000.0))
+        .collect();
+    port.sys.host_write_row(g.prop_va, &factors);
     let mut uvec = vec![0.0f32; k];
-    for v in 0..g.num_vertices {
-        for (f, x) in uvec.iter_mut().enumerate() {
-            let seed = ((v as u64 * 31 + f as u64 * 7) % 97) as f32;
-            *x = 0.05 + seed / 1000.0;
-        }
-        port.sys
-            .untimed_write_row(g.prop_entry(v), &uvec)
-            .expect("prop array mapped");
-    }
     let mut mvec = vec![0.0f32; k];
     let mut edges_processed = 0u64;
 

@@ -3,7 +3,7 @@
 
 use dvm_accel::{layout, run, AccelConfig, Workload};
 use dvm_energy::EnergyParams;
-use dvm_graph::{rmat, RmatParams};
+use dvm_graph::{rmat, to_bipartite, RmatParams};
 use dvm_mem::{Dram, DramConfig, MachineConfig};
 use dvm_mmu::{Iommu, MemSystem, SchemeId};
 use dvm_os::{MapFlavor, Os, OsConfig};
@@ -42,6 +42,34 @@ fn revoked_permissions_abort_the_offload() {
         assert!(g.temp_va.raw() <= fault.va.raw(), "{scheme}");
         assert_eq!(sys.iommu.stats.faults.get(), 1, "{scheme}");
     }
+}
+
+/// The host fills the factor vectors directly, not through the IOMMU, so
+/// a read-only property array does not stop CF's setup: the
+/// accelerator's first factor write faults, exactly once.
+#[test]
+fn cf_on_read_only_props_faults() {
+    let mut os = Os::new(OsConfig {
+        machine: MachineConfig { mem_bytes: 1 << 30 },
+        ..OsConfig::default()
+    });
+    let pid = os.spawn().unwrap();
+    let graph = to_bipartite(&rmat(9, 8, RmatParams::default(), 24), 400, 80);
+    let workload = Workload::Cf {
+        iterations: 1,
+        features: 8,
+    };
+    let g = layout::load_graph(&mut os, pid, &graph, workload.prop_stride()).unwrap();
+    os.mprotect(pid, g.prop_va, Permission::ReadOnly).unwrap();
+
+    let mut iommu = Iommu::new(SchemeId::DVM_PE_PLUS, EnergyParams::default());
+    let mut dram = Dram::new(DramConfig::default());
+    let pt = os.process(pid).unwrap().page_table;
+    let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut os.machine.mem, &mut dram);
+    let fault = run(&workload, &g, &mut sys, &AccelConfig::default()).unwrap_err();
+    assert_eq!(fault.kind, FaultKind::Protection);
+    assert!(g.prop_va.raw() <= fault.va.raw());
+    assert_eq!(sys.iommu.stats.faults.get(), 1);
 }
 
 #[test]
@@ -93,8 +121,8 @@ fn faults_do_not_corrupt_other_processes() {
     let mut dram = Dram::new(DramConfig::default());
     let pt = os.process(a).unwrap().page_table;
     let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut os.machine.mem, &mut dram);
-    // SSSP initialization writes the prop array through the OS... it is
-    // done untimed by the runner, so the fault comes from the timed path.
+    // The host's SSSP initialization writes the prop array untimed and
+    // ignores its permissions, so the fault comes from the timed path.
     let result = run(&workload, &g, &mut sys, &AccelConfig::default());
     assert!(result.is_err());
     assert_eq!(os.read_u64(b, secret_va).unwrap(), 0x5ECE7);

@@ -1,14 +1,14 @@
-//! The translation memos are pure caches: a run with the untimed-path
-//! memo and the walker memo disabled must be *bit-identical* — results,
-//! property arrays, every IOMMU counter, every DRAM counter — to the
-//! default run on all seven paper configurations. This is the
-//! whole-system counterpart of the unit tests in `dvm_mmu::memo`.
+//! The IOMMU's walk memo is a pure cache: a run with it disabled must be
+//! *bit-identical* — results, property arrays, every IOMMU counter, every
+//! DRAM counter — to the default run on all seven paper configurations.
+//! This is the whole-system counterpart of the walk memo's unit tests in
+//! `dvm-mmu`.
 
 use dvm_accel::{layout, run, AccelConfig, Workload};
 use dvm_energy::EnergyParams;
 use dvm_graph::{rmat, to_bipartite, Graph, RmatParams};
 use dvm_mem::{Dram, DramConfig, MachineConfig};
-use dvm_mmu::{Iommu, MemSystem, SchemeId, TranslationMemo};
+use dvm_mmu::{Iommu, MemSystem, SchemeId};
 use dvm_os::{MapFlavor, Os, OsConfig};
 
 fn os_for(config: SchemeId) -> Os {
@@ -34,12 +34,12 @@ struct Observation {
     dram: String,
 }
 
-fn observe(config: SchemeId, workload: &Workload, graph: &Graph, memos: bool) -> Observation {
+fn observe(config: SchemeId, workload: &Workload, graph: &Graph, walk_memo: bool) -> Observation {
     let mut os = os_for(config);
     let pid = os.spawn().unwrap();
     let g = layout::load_graph(&mut os, pid, graph, workload.prop_stride()).unwrap();
     let mut iommu = Iommu::new(config, EnergyParams::default());
-    iommu.set_walk_memo(memos);
+    iommu.set_walk_memo(walk_memo);
     let mut dram = Dram::new(DramConfig::default());
     let pt = os.process(pid).unwrap().page_table;
     let bitmap = os.bitmap;
@@ -50,9 +50,6 @@ fn observe(config: SchemeId, workload: &Workload, graph: &Graph, memos: bool) ->
         &mut os.machine.mem,
         &mut dram,
     );
-    if !memos {
-        sys.memo = TranslationMemo::disabled();
-    }
     let result = run(workload, &g, &mut sys, &AccelConfig::default()).unwrap();
     let props_u32 = dvm_accel::dump_props_u32(&sys, &g);
     // Compare float properties by bit pattern: equality must be exact,

@@ -67,9 +67,9 @@ impl PhysMem {
         self.resident
     }
 
-    /// Generation tag of the page tables stored in this memory. Any
-    /// translation cached outside the page tables (see `TranslationMemo`
-    /// in `dvm-mmu`) is valid only while this value is unchanged.
+    /// Generation tag of the page tables stored in this memory. Any walk
+    /// cached outside the page tables (the IOMMU's walk memo in
+    /// `dvm-mmu`) is valid only while this value is unchanged.
     #[inline]
     pub fn pt_gen(&self) -> u64 {
         self.pt_gen

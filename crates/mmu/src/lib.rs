@@ -36,7 +36,7 @@
 //! ```
 
 pub mod iommu;
-pub mod memo;
+mod memo;
 pub mod memsys;
 pub mod nested;
 pub mod ptcache;
@@ -44,7 +44,6 @@ pub mod scheme;
 pub mod tlb;
 
 pub use iommu::{AccessCtx, Iommu, IommuStats, Validation};
-pub use memo::TranslationMemo;
 pub use memsys::MemSystem;
 pub use nested::{NestedScheme, NestedTranslation, NestedWalker};
 pub use ptcache::{PtCache, PtCacheConfig, PtcLookup};

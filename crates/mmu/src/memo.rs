@@ -1,16 +1,13 @@
-//! Memoization of software page-table walks.
+//! Memoization of the IOMMU's timed page-table walks.
 //!
-//! The simulator performs two kinds of walks through simulated `PhysMem`:
-//! *untimed* functional walks (the accelerator runner peeking and poking
-//! data without charging cycles) and *timed* walks inside
-//! [`Iommu::timed_walk`](crate::Iommu::timed_walk), whose per-step
-//! addresses drive the page-walk cache and DRAM models. Both repeat the
-//! same 4-level pointer chase for every access to a page, which dominates
-//! the simulator's inner loop.
+//! [`Iommu::timed_walk`](crate::Iommu::timed_walk) walks the page table
+//! in simulated `PhysMem`, and its per-step addresses drive the page-walk
+//! cache and DRAM models. Every access to a page repeats the same 4-level
+//! pointer chase, which dominates the simulator's miss path.
 //!
-//! Both memos here exploit the same invariant: for a fixed page table
-//! (identified by `(PhysMem::pt_gen, root_frame)`), the walk of any
-//! virtual address is a pure function of its 4 KiB virtual page number.
+//! [`WalkMemo`] exploits an invariant: for a fixed page table (identified
+//! by `(PhysMem::pt_gen, root_frame)`), the walk of any virtual address is
+//! a pure function of its 4 KiB virtual page number.
 //!
 //! * every step's PTE address depends only on VA bits ≥ 12;
 //! * a `Leaf` outcome is linear inside its page (`pa = base + offset`)
@@ -24,10 +21,9 @@
 //! the generation on every page-table write or table-frame free makes
 //! stale entries unreachable.
 
-use core::cell::Cell;
 use dvm_mem::PhysMem;
 use dvm_pagetable::{PageTable, Walk, WalkOutcome};
-use dvm_types::{Permission, PhysAddr, VirtAddr, PAGE_SIZE};
+use dvm_types::{VirtAddr, PAGE_SIZE};
 
 /// log2 of the slot count: 65536 slots cover a ~256 MiB working set per
 /// conflict-free stride. The quick-scale RMAT datasets touch tens of
@@ -48,109 +44,7 @@ fn slot_of(vpn: u64) -> usize {
 }
 
 /// Identity of the page table a memo entry was computed against.
-pub type MemoTag = (u64, u64); // (PhysMem::pt_gen, PageTable::root_frame)
-
-/// Direct-mapped memo of *untimed* translations, owned by
-/// [`MemSystem`](crate::MemSystem).
-///
-/// Uses interior mutability so read-only helpers (`dump_props_*`, the
-/// runner's peeks) can populate it through `&MemSystem`. Entries store
-/// the 4 KiB page-base physical address with the permission bits packed
-/// into the low bits (page bases are 4 KiB-aligned, permissions fit in
-/// two bits).
-///
-/// # Examples
-///
-/// ```
-/// use dvm_mmu::TranslationMemo;
-/// let memo = TranslationMemo::new();
-/// assert!(memo.is_enabled());
-/// assert!(!TranslationMemo::disabled().is_enabled());
-/// ```
-#[derive(Debug)]
-pub struct TranslationMemo {
-    tag: Cell<MemoTag>,
-    /// `vpn + 1` per slot; 0 marks an empty slot.
-    vpns: Box<[Cell<u64>]>,
-    /// Page-base PA | permission bits.
-    data: Box<[Cell<u64>]>,
-}
-
-impl TranslationMemo {
-    /// An enabled memo with the default slot count.
-    pub fn new() -> Self {
-        Self {
-            tag: Cell::new((0, 0)),
-            vpns: (0..SLOTS).map(|_| Cell::new(0)).collect(),
-            data: (0..SLOTS).map(|_| Cell::new(0)).collect(),
-        }
-    }
-
-    /// A memo that never hits and never stores — every untimed access
-    /// falls through to the real walk (used by equivalence tests).
-    pub fn disabled() -> Self {
-        Self {
-            tag: Cell::new((0, 0)),
-            vpns: Box::new([]),
-            data: Box::new([]),
-        }
-    }
-
-    /// Whether this memo has any capacity.
-    pub fn is_enabled(&self) -> bool {
-        !self.vpns.is_empty()
-    }
-
-    /// Drop every entry if `tag` no longer matches the tables the memo
-    /// was filled against.
-    fn revalidate(&self, tag: MemoTag) {
-        if self.tag.get() != tag {
-            for slot in self.vpns.iter() {
-                slot.set(0);
-            }
-            self.tag.set(tag);
-        }
-    }
-
-    /// Memoized translation of `va`, if present and still valid.
-    #[inline]
-    pub fn lookup(&self, tag: MemoTag, va: VirtAddr) -> Option<(PhysAddr, Permission)> {
-        if self.vpns.is_empty() {
-            return None;
-        }
-        self.revalidate(tag);
-        let offset = va.raw() & (PAGE_SIZE - 1);
-        let vpn = va.raw() >> dvm_types::PAGE_SHIFT;
-        let slot = slot_of(vpn);
-        if self.vpns[slot].get() != vpn + 1 {
-            return None;
-        }
-        let data = self.data[slot].get();
-        let pa = PhysAddr::new((data & !(PAGE_SIZE - 1)) + offset);
-        let perms = Permission::from_bits((data & 0b11) as u8);
-        Some((pa, perms))
-    }
-
-    /// Record a translation produced by the real walk.
-    #[inline]
-    pub fn store(&self, tag: MemoTag, va: VirtAddr, pa: PhysAddr, perms: Permission) {
-        if self.vpns.is_empty() {
-            return;
-        }
-        self.revalidate(tag);
-        let offset = va.raw() & (PAGE_SIZE - 1);
-        let vpn = va.raw() >> dvm_types::PAGE_SHIFT;
-        let slot = slot_of(vpn);
-        self.vpns[slot].set(vpn + 1);
-        self.data[slot].set((pa.raw() - offset) | u64::from(perms.bits()));
-    }
-}
-
-impl Default for TranslationMemo {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+type MemoTag = (u64, u64); // (PhysMem::pt_gen, PageTable::root_frame)
 
 /// Direct-mapped memo of full *timed* walks, owned by
 /// [`Iommu`](crate::Iommu).
@@ -219,54 +113,13 @@ impl WalkMemo {
 mod tests {
     use super::*;
     use dvm_mem::BuddyAllocator;
+    use dvm_types::{Permission, PhysAddr};
 
     fn harness() -> (PhysMem, BuddyAllocator, PageTable) {
         let mut mem = PhysMem::new(1 << 16);
         let mut alloc = BuddyAllocator::new(1 << 16);
         let pt = PageTable::new(&mut mem, &mut alloc).unwrap();
         (mem, alloc, pt)
-    }
-
-    #[test]
-    fn translation_memo_hits_after_store() {
-        let memo = TranslationMemo::new();
-        let tag = (7, 3);
-        let va = VirtAddr::new((16 << 20) + 0x123);
-        assert_eq!(memo.lookup(tag, va), None);
-        memo.store(
-            tag,
-            va,
-            PhysAddr::new((32 << 20) + 0x123),
-            Permission::ReadWrite,
-        );
-        assert_eq!(
-            memo.lookup(tag, va),
-            Some((PhysAddr::new((32 << 20) + 0x123), Permission::ReadWrite))
-        );
-        // Same page, different offset: the page base is shared.
-        let va2 = VirtAddr::new((16 << 20) + 0xffc);
-        assert_eq!(
-            memo.lookup(tag, va2),
-            Some((PhysAddr::new((32 << 20) + 0xffc), Permission::ReadWrite))
-        );
-    }
-
-    #[test]
-    fn translation_memo_invalidates_on_tag_change() {
-        let memo = TranslationMemo::new();
-        let va = VirtAddr::new(16 << 20);
-        memo.store((1, 3), va, PhysAddr::new(32 << 20), Permission::ReadOnly);
-        assert!(memo.lookup((1, 3), va).is_some());
-        assert_eq!(memo.lookup((2, 3), va), None, "new pt_gen drops entries");
-        assert_eq!(memo.lookup((2, 4), va), None, "new root drops entries");
-    }
-
-    #[test]
-    fn disabled_memo_never_stores() {
-        let memo = TranslationMemo::disabled();
-        let va = VirtAddr::new(16 << 20);
-        memo.store((1, 1), va, PhysAddr::new(32 << 20), Permission::ReadWrite);
-        assert_eq!(memo.lookup((1, 1), va), None);
     }
 
     #[test]

@@ -8,14 +8,11 @@
 //! to overlap (paper Figure 4).
 
 use crate::iommu::{Iommu, Validation};
-use crate::memo::TranslationMemo;
 use crate::scheme::{dispatch, SchemeDispatch};
 use dvm_mem::{Dram, PhysMem, RowWord};
 use dvm_pagetable::{PageTable, PermBitmap};
 use dvm_sim::Cycles;
-use dvm_types::{
-    AccessKind, Fault, FaultKind, PageSize, Permission, PhysAddr, VirtAddr, PAGE_SIZE,
-};
+use dvm_types::{AccessKind, Fault, FaultKind, PageSize, PhysAddr, VirtAddr, PAGE_SIZE};
 
 /// A borrow-bundle tying one IOMMU to one process's address space for the
 /// duration of an accelerator run.
@@ -31,14 +28,10 @@ pub struct MemSystem<'a> {
     pub mem: &'a mut PhysMem,
     /// DRAM timing model.
     pub dram: &'a mut Dram,
-    /// Memo for [`untimed_translate`](Self::untimed_translate); replace
-    /// with [`TranslationMemo::disabled`] to force full walks.
-    pub memo: TranslationMemo,
 }
 
 impl<'a> MemSystem<'a> {
-    /// Bundle the borrows for one accelerator run, with translation
-    /// memoization enabled.
+    /// Bundle the borrows for one accelerator run.
     pub fn new(
         iommu: &'a mut Iommu,
         pt: &'a PageTable,
@@ -52,27 +45,7 @@ impl<'a> MemSystem<'a> {
             bitmap,
             mem,
             dram,
-            memo: TranslationMemo::new(),
         }
-    }
-
-    /// Translate `va` functionally — no cycles charged, no IOMMU state
-    /// touched — memoizing the result per 4 KiB page. Equivalent to
-    /// `self.pt.translate(self.mem, va)`: any page-table mutation bumps
-    /// [`PhysMem::pt_gen`] and invalidates the memo.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `va` is outside the canonical range (as `translate`).
-    #[inline]
-    pub fn untimed_translate(&self, va: VirtAddr) -> Option<(PhysAddr, Permission)> {
-        let tag = (self.mem.pt_gen(), self.pt.root_frame());
-        if let Some(hit) = self.memo.lookup(tag, va) {
-            return Some(hit);
-        }
-        let (pa, perms) = self.pt.translate(self.mem, va)?;
-        self.memo.store(tag, va, pa, perms);
-        Some((pa, perms))
     }
 
     /// Validate an access and charge the data-fetch timing, without
@@ -165,7 +138,7 @@ impl MemSystem<'_> {
         } else {
             let (head, tail) = out.split_at_mut(n);
             self.mem.read_row(v.pa, head);
-            self.untimed_read_row(va + n as u64 * 4, tail)?;
+            self.untimed_read_row(va + n as u64 * 4, tail, true)?;
         }
         Ok(latency)
     }
@@ -196,27 +169,34 @@ impl MemSystem<'_> {
         } else {
             let (head, tail) = row.split_at(n);
             self.mem.write_row(v.pa, head);
-            self.untimed_write_row(va + n as u64 * 4, tail)?;
+            self.untimed_write_row(va + n as u64 * 4, tail, true)?;
         }
         Ok(latency)
     }
 
-    /// Untimed load of the row at `va`: one memoized translation and one
-    /// in-frame copy per 4 KiB page it touches.
+    /// Untimed load of the row at `va`: one page-table translation and
+    /// one in-frame copy per 4 KiB page it touches. With `check`,
+    /// every page must be readable.
     ///
     /// # Errors
     ///
-    /// A [`Fault`] at the first page that is unmapped or unreadable.
+    /// A [`Fault`] at the first page that is unmapped, or unreadable when
+    /// `check`.
     ///
     /// # Panics
     ///
     /// Panics if `va` is not 4-byte aligned.
-    fn untimed_read_row<T: RowWord>(&self, va: VirtAddr, out: &mut [T]) -> Result<(), Fault> {
+    fn untimed_read_row<T: RowWord>(
+        &self,
+        va: VirtAddr,
+        out: &mut [T],
+        check: bool,
+    ) -> Result<(), Fault> {
         let mut va = va;
         let mut rest = out;
         while !rest.is_empty() {
             let (chunk, next) = rest.split_at_mut(words_in_page(va, rest.len()));
-            let pa = self.untimed_pa(va, AccessKind::Read)?;
+            let pa = self.untimed_pa(va, AccessKind::Read, check)?;
             self.mem.read_row(pa, chunk);
             va += chunk.len() as u64 * 4;
             rest = next;
@@ -225,22 +205,28 @@ impl MemSystem<'_> {
     }
 
     /// Untimed store of `row` at `va`, page by page as
-    /// [`untimed_read_row`](Self::untimed_read_row).
+    /// [`untimed_read_row`](Self::untimed_read_row). With `check`,
+    /// every page must be writable.
     ///
     /// # Errors
     ///
-    /// A [`Fault`] at the first page that is unmapped or not writable;
-    /// the words before it are already stored.
+    /// A [`Fault`] at the first page that is unmapped, or not writable
+    /// when `check`; the words before it are already stored.
     ///
     /// # Panics
     ///
     /// Panics if `va` is not 4-byte aligned.
-    pub fn untimed_write_row<T: RowWord>(&mut self, va: VirtAddr, row: &[T]) -> Result<(), Fault> {
+    fn untimed_write_row<T: RowWord>(
+        &mut self,
+        va: VirtAddr,
+        row: &[T],
+        check: bool,
+    ) -> Result<(), Fault> {
         let mut va = va;
         let mut rest = row;
         while !rest.is_empty() {
             let (chunk, next) = rest.split_at(words_in_page(va, rest.len()));
-            let pa = self.untimed_pa(va, AccessKind::Write)?;
+            let pa = self.untimed_pa(va, AccessKind::Write, check)?;
             self.mem.write_row(pa, chunk);
             va += chunk.len() as u64 * 4;
             rest = next;
@@ -248,22 +234,53 @@ impl MemSystem<'_> {
         Ok(())
     }
 
-    /// [`untimed_translate`](Self::untimed_translate) with the page's
-    /// permissions checked against `kind`.
-    fn untimed_pa(&self, va: VirtAddr, kind: AccessKind) -> Result<PhysAddr, Fault> {
+    /// `va`'s physical address from one page-table walk; with
+    /// `check`, the page's permissions must allow `kind`.
+    fn untimed_pa(&self, va: VirtAddr, kind: AccessKind, check: bool) -> Result<PhysAddr, Fault> {
         let fault = |kind_of| Fault {
             va,
             access: kind,
             kind: kind_of,
         };
         let (pa, perms) = self
-            .untimed_translate(va)
+            .pt
+            .translate(self.mem, va)
             .ok_or_else(|| fault(FaultKind::NotMapped))?;
-        if perms.allows(kind) {
+        if !check || perms.allows(kind) {
             Ok(pa)
         } else {
             Err(fault(FaultKind::Protection))
         }
+    }
+}
+
+/// Host access: the host CPU fills the arrays before an offload and reads
+/// the results after it directly, not through the IOMMU (paper §4.1). A
+/// host copy charges no cycles, touches no IOMMU or DRAM state and checks
+/// no permissions.
+impl MemSystem<'_> {
+    /// Store `row` at `va` for the host: one page-table translation and
+    /// one in-frame copy per 4 KiB page it touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va` is not 4-byte aligned or a page the row touches is
+    /// unmapped.
+    pub fn host_write_row<T: RowWord>(&mut self, va: VirtAddr, row: &[T]) {
+        self.untimed_write_row(va, row, false)
+            .unwrap_or_else(|fault| panic!("host write of unmapped {}", fault.va));
+    }
+
+    /// Load the row at `va` into `out` for the host, page by page as
+    /// [`host_write_row`](Self::host_write_row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va` is not 4-byte aligned or a page the row touches is
+    /// unmapped.
+    pub fn host_read_row<T: RowWord>(&self, va: VirtAddr, out: &mut [T]) {
+        self.untimed_read_row(va, out, false)
+            .unwrap_or_else(|fault| panic!("host read of unmapped {}", fault.va));
     }
 }
 
@@ -531,26 +548,30 @@ mod tests {
         assert_eq!(sys.iommu.stats.preload_squashes.get(), 1);
     }
 
-    /// Two 4K VA pages on non-adjacent frames, with page C left unmapped.
+    /// Two 4K VA pages on non-adjacent frames, A read-write and B with
+    /// `page_b` permissions, with page C left unmapped.
     const ROW_VA: u64 = 64 << 20;
     const FRAME_A: u64 = (32 << 20) >> 12;
     const FRAME_B: u64 = (40 << 20) >> 12;
 
-    fn split_pages(config: SchemeId) -> (PhysMem, PageTable, Option<PermBitmap>) {
+    fn split_pages(
+        config: SchemeId,
+        page_b: Permission,
+    ) -> (PhysMem, PageTable, Option<PermBitmap>) {
         let mut mem = PhysMem::new(1 << 16);
         let mut alloc = BuddyAllocator::new(1 << 16);
         let mut pt = PageTable::new(&mut mem, &mut alloc).unwrap();
         let bitmap = config
             .needs_bitmap()
             .then(|| PermBitmap::new(&mut mem, &mut alloc, 1 << 30).unwrap());
-        for (page, frame) in [(0, FRAME_A), (1, FRAME_B)] {
+        for (page, frame, perms) in [(0, FRAME_A, Permission::ReadWrite), (1, FRAME_B, page_b)] {
             pt.map_page(
                 &mut mem,
                 &mut alloc,
                 VirtAddr::new(ROW_VA + page * PAGE_SIZE),
                 PhysAddr::from_frame(frame),
                 PageSize::Size4K,
-                Permission::ReadWrite,
+                perms,
             )
             .unwrap();
         }
@@ -585,9 +606,8 @@ mod tests {
     fn page_crossing_row_moves_like_words_and_times_like_one() {
         // 3 words at the end of page A, 5 at the start of page B.
         let va = VirtAddr::new(ROW_VA + PAGE_SIZE - 12);
-        let word_va = |i: usize| va + i as u64 * 4;
         for config in FOUR_K_SCHEMES {
-            let (mut mem, pt, bitmap) = split_pages(config);
+            let (mut mem, pt, bitmap) = split_pages(config, Permission::ReadWrite);
             let row: Vec<f32> = (0..8).map(|i| 1.5 + i as f32).collect();
             let mut dram = Dram::new(DramConfig::default());
             let mut iommu = Iommu::new(config, EnergyParams::default());
@@ -596,16 +616,14 @@ mod tests {
             let mut sys = MemSystem::new(&mut iommu, &pt, bitmap.as_ref(), &mut mem, &mut dram);
             let lat = sys.write_row_via::<dispatch::Dyn, f32>(va, &row).unwrap();
             let row_write = footprint(&sys, lat);
-            for (i, want) in row.iter().enumerate() {
-                let (pa, _) = sys.untimed_translate(word_va(i)).unwrap();
-                assert_eq!(sys.mem.read_f32(pa), *want, "{config} word {i}");
-            }
+            let mut stored = [0.0f32; 8];
+            sys.host_read_row(va, &mut stored);
+            assert_eq!(stored.to_vec(), row, "{config} write");
             // Nothing spilled into the frame physically after page A.
             assert_eq!(sys.mem.read_u64(PhysAddr::from_frame(FRAME_A + 1)), 0);
-            drop(sys);
             // The reference word accesses run on an identical second
             // machine with its own IOMMU and DRAM.
-            let (mut mem2, pt2, bitmap2) = split_pages(config);
+            let (mut mem2, pt2, bitmap2) = split_pages(config, Permission::ReadWrite);
             let mut dram2 = Dram::new(DramConfig::default());
             let mut iommu2 = Iommu::new(config, EnergyParams::default());
             let mut word =
@@ -613,19 +631,16 @@ mod tests {
             let lat = word.write_f32_via::<dispatch::Dyn>(va, row[0]).unwrap();
             assert_eq!(row_write, footprint(&word, lat), "{config} write");
 
-            // Row read vs per-word untimed reads and one timed word load.
+            // Row read vs a host write and one timed word load.
             let mut dram = Dram::new(DramConfig::default());
             let mut iommu = Iommu::new(config, EnergyParams::default());
             let mut sys = MemSystem::new(&mut iommu, &pt, bitmap.as_ref(), &mut mem, &mut dram);
-            for i in 0..row.len() {
-                let (pa, _) = sys.untimed_translate(word_va(i)).unwrap();
-                sys.mem.write_f32(pa, -(i as f32));
-            }
+            let want: Vec<f32> = (0..8).map(|i| -(i as f32)).collect();
+            sys.host_write_row(va, &want);
             let mut got = [0.0f32; 8];
             let lat = sys
                 .read_row_via::<dispatch::Dyn, f32>(va, &mut got)
                 .unwrap();
-            let want: Vec<f32> = (0..8).map(|i| -(i as f32)).collect();
             assert_eq!(got.to_vec(), want, "{config} read");
             let row_read = footprint(&sys, lat);
             let mut dram2 = Dram::new(DramConfig::default());
@@ -639,7 +654,7 @@ mod tests {
 
     #[test]
     fn row_into_an_unmapped_page_faults_at_that_page() {
-        let (mut mem, pt, _) = split_pages(SchemeId::CONV_4K);
+        let (mut mem, pt, _) = split_pages(SchemeId::CONV_4K, Permission::ReadWrite);
         let mut dram = Dram::new(DramConfig::default());
         let mut iommu = Iommu::new(SchemeId::CONV_4K, EnergyParams::default());
         let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut mem, &mut dram);
@@ -655,6 +670,54 @@ mod tests {
             .unwrap_err();
         assert_eq!(fault.access, AccessKind::Write);
         assert_eq!((fault.va, fault.kind), (page_c, FaultKind::NotMapped));
+    }
+
+    #[test]
+    fn row_tail_on_a_read_only_page_faults_at_that_page() {
+        let (mut mem, pt, _) = split_pages(SchemeId::CONV_4K, Permission::ReadOnly);
+        let mut dram = Dram::new(DramConfig::default());
+        let mut iommu = Iommu::new(SchemeId::CONV_4K, EnergyParams::default());
+        let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut mem, &mut dram);
+        let page_b = VirtAddr::new(ROW_VA + PAGE_SIZE);
+        let va = VirtAddr::new(page_b.raw() - 8);
+        let fault = sys
+            .write_row_via::<dispatch::Dyn, u32>(va, &[1, 2, 3, 4])
+            .unwrap_err();
+        assert_eq!(fault.access, AccessKind::Write);
+        assert_eq!((fault.va, fault.kind), (page_b, FaultKind::Protection));
+        // The words on page A were stored before the tail faulted.
+        let mut got = [9u32; 4];
+        sys.read_row_via::<dispatch::Dyn, u32>(va, &mut got)
+            .unwrap();
+        assert_eq!(got, [1, 2, 0, 0]);
+    }
+
+    #[test]
+    fn host_rows_ignore_permissions_and_touch_no_timing_state() {
+        let (mut mem, pt, _) = split_pages(SchemeId::CONV_4K, Permission::ReadOnly);
+        let mut dram = Dram::new(DramConfig::default());
+        let mut iommu = Iommu::new(SchemeId::CONV_4K, EnergyParams::default());
+        let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut mem, &mut dram);
+        let before = footprint(&sys, 0);
+        // A row from the end of page A across all of read-only page B.
+        let va = VirtAddr::new(ROW_VA + PAGE_SIZE - 8);
+        let row: Vec<u32> = (1..=1026).collect();
+        sys.host_write_row(va, &row);
+        let mut got = vec![0u32; row.len()];
+        sys.host_read_row(va, &mut got);
+        assert_eq!(got, row);
+        assert_eq!(sys.mem.read_u32(PhysAddr::from_frame(FRAME_B)), 3);
+        assert_eq!(footprint(&sys, 0), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "host write of unmapped")]
+    fn host_row_into_an_unmapped_page_panics() {
+        let (mut mem, pt, _) = split_pages(SchemeId::CONV_4K, Permission::ReadWrite);
+        let mut dram = Dram::new(DramConfig::default());
+        let mut iommu = Iommu::new(SchemeId::CONV_4K, EnergyParams::default());
+        let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut mem, &mut dram);
+        sys.host_write_row(VirtAddr::new(ROW_VA + 2 * PAGE_SIZE - 4), &[1u32, 2]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! owns its display name, the leaf page size the OS must map for it, its
 //! hardware structures (TLB / page-walk cache / bitmap cache), and the
 //! per-access validate/translate path;
-//! [`Iommu`](crate::Iommu) is a thin driver that dispatches into the
+//! [`Iommu`] is a thin driver that dispatches into the
 //! scheme. A [`SchemeId`] is a cheap copyable index into that table —
 //! the currency every layer above `dvm-mmu` trades in.
 //!

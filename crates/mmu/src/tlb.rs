@@ -275,8 +275,9 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries == 0`, or if set-associative and `ways` is zero
-    /// or does not divide `entries`.
+    /// Panics if `entries == 0`, or if set-associative and `ways` is zero,
+    /// does not divide `entries`, or leaves a set count that is not a
+    /// power of two (the set index is a mask of the VPN).
     pub fn new(config: TlbConfig) -> Self {
         assert!(config.entries > 0, "TLB needs entries");
         let store = match config.assoc {
@@ -287,6 +288,7 @@ impl Tlb {
                     "ways must divide entries"
                 );
                 let sets = (config.entries / ways) as usize;
+                assert!(sets.is_power_of_two(), "set count must be a power of two");
                 Store::Sets(vec![Vec::with_capacity(ways as usize); sets])
             }
         };
@@ -318,8 +320,8 @@ impl Tlb {
         let found = match &mut self.store {
             Store::Full(store) => store.lookup(vpn),
             Store::Sets(sets) => {
-                let nsets = sets.len() as u64;
-                let set = &mut sets[(vpn % nsets) as usize];
+                let set_mask = sets.len() as u64 - 1;
+                let set = &mut sets[(vpn & set_mask) as usize];
                 set.iter().position(|e| e.vpn == vpn).map(|pos| {
                     let entry = set.remove(pos);
                     set.push(entry);
@@ -341,12 +343,12 @@ impl Tlb {
         match &mut self.store {
             Store::Full(store) => store.insert(entry, self.config.entries as usize),
             Store::Sets(sets) => {
-                let nsets = sets.len() as u64;
+                let set_mask = sets.len() as u64 - 1;
                 let ways = match self.config.assoc {
                     Associativity::SetAssociative { ways } => ways as usize,
                     Associativity::Full => unreachable!(),
                 };
-                let set = &mut sets[(entry.vpn % nsets) as usize];
+                let set = &mut sets[(entry.vpn & set_mask) as usize];
                 if let Some(pos) = set.iter().position(|e| e.vpn == entry.vpn) {
                     set.remove(pos);
                 } else if set.len() >= ways {
@@ -494,6 +496,17 @@ mod tests {
         Tlb::new(TlbConfig {
             entries: 5,
             assoc: Associativity::SetAssociative { ways: 2 },
+            page_size: PageSize::Size4K,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_sets_rejected() {
+        // 24 entries / 8 ways = 3 sets.
+        Tlb::new(TlbConfig {
+            entries: 24,
+            assoc: Associativity::SetAssociative { ways: 8 },
             page_size: PageSize::Size4K,
         });
     }

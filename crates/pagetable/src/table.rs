@@ -91,7 +91,7 @@ impl PageTable {
     fn write_entry(mem: &mut PhysMem, frame: u64, idx: usize, pte: Pte) {
         // Every structural mutation of any table funnels through here, so
         // this is the single choke point that invalidates memoized
-        // translations (`TranslationMemo` / the IOMMU walk memo).
+        // walks (the IOMMU's walk memo in `dvm-mmu`).
         mem.note_pt_mutation();
         mem.write_u64(Self::entry_pa(frame, idx), pte.raw());
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, build, the tier-1 test suite, the
-# --jobs determinism checks, a diff of every quick-scale golden, and
-# probe-scaled host-speed guards.
+# Offline CI gate: formatting, lints, rustdoc links, build, the tier-1
+# test suite, the --jobs determinism checks, a diff of every quick-scale
+# golden, and probe-scaled host-speed guards.
 # Everything here runs with no network and no vendored crates — the
 # default workspace has zero external dependencies by design (see
 # DESIGN.md, "Sweep engine & hermetic build").
@@ -31,6 +31,11 @@ cargo fmt --all --check
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc -D warnings"
+# Deleting or privatizing a public item can leave an intra-doc link
+# dangling; neither clippy nor the tests see those.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo build --release (tier-1)"
 # The root manifest is a virtual workspace, so this builds every member:
